@@ -14,7 +14,13 @@ from .actions import ActionKind
 from .config import ConfigError, RunConfig
 from .generation import Backend, HttpBackend, ScriptedBackend, equivalent
 from .orchestrator import NO_ANSWER, Backends, SearchResult, run_search
-from .retrieval import LocalIndex, Retriever, ScriptedRetriever, WebSearchRetriever
+from .retrieval import (
+    LocalIndex,
+    RetrievalError,
+    Retriever,
+    ScriptedRetriever,
+    WebSearchRetriever,
+)
 from .worlds import build_world
 
 
@@ -285,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             metrics, _ = run_benchmark(
                 examples, config, backends_for=lambda ex: backends, out_dir=out_dir
             )
-    except (ConfigError, DatasetError, OSError) as exc:
+    except (ConfigError, DatasetError, RetrievalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(

@@ -3,10 +3,12 @@ lexical/scripted/web retrieval, knowledge reflection, and summarization,
 plus the consistency-pruning signal."""
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -89,15 +91,23 @@ def tokenize(text: str) -> list[str]:
 
 
 class LocalIndex:
-    """In-memory lexical index scoring sum(tf * ln(1 + N/df)) over query
-    terms. Immutable after construction."""
+    """In-memory inverted index scoring sum(tf * ln(1 + N/df)) over query
+    terms, ranked by (-score, doc_id).
+
+    Building it is one pass over the corpus: each document keeps its term
+    counts, and each distinct term lists the documents that contain it, so
+    df is the length of that list. A search touches only the documents that
+    share a query term. Immutable after construction, so concurrent
+    searches are safe."""
 
     def __init__(self, documents: list[tuple[str, str]]):
-        self._docs = [(doc_id, text, tokenize(text)) for doc_id, text in documents]
-        self._df: dict[str, int] = {}
-        for _, _, terms in self._docs:
-            for term in set(terms):
-                self._df[term] = self._df.get(term, 0) + 1
+        self._docs = list(documents)
+        self._tf = [Counter(tokenize(text)) for _, text in self._docs]
+        postings: defaultdict[str, list[int]] = defaultdict(list)
+        for idx, tf in enumerate(self._tf):
+            for term in tf:
+                postings[term].append(idx)
+        self._postings = dict(postings)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndex":
@@ -109,7 +119,7 @@ class LocalIndex:
                 try:
                     row = json.loads(line)
                     documents.append((str(row["doc_id"]), str(row["text"])))
-                except (json.JSONDecodeError, KeyError) as exc:
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise RetrievalError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
         return cls(documents)
 
@@ -117,22 +127,27 @@ class LocalIndex:
         return len(self._docs)
 
     def search(self, query: str, top_k: int) -> list[Document]:
+        if top_k < 1:
+            raise RetrievalError("top_k must be >= 1")
         n_docs = len(self._docs)
-        query_terms = tokenize(query)
-        scored = []
-        for doc_id, text, terms in self._docs:
-            score = 0.0
-            for term in query_terms:
-                df = self._df.get(term, 0)
-                if df == 0:
-                    continue
-                tf = terms.count(term)
-                if tf:
-                    score += tf * math.log(1.0 + n_docs / df)
-            if score > 0.0:
-                scored.append(Document(doc_id=doc_id, text=text, score=score))
-        scored.sort(key=lambda d: (-d.score, d.doc_id))
-        return scored[:top_k]
+        # Each score accumulates from 0.0 term by term in query order, repeats
+        # included. Float addition is not associative, so keep that order:
+        # it fixes every score to the last bit and hence the ranking.
+        acc: dict[int, float] = {}
+        for term in tokenize(query):
+            posting = self._postings.get(term)
+            if posting is None:
+                continue
+            weight = math.log(1.0 + n_docs / len(posting))
+            for idx in posting:
+                acc[idx] = acc.get(idx, 0.0) + self._tf[idx][term] * weight
+        best = heapq.nsmallest(
+            top_k, ((-score, self._docs[idx][0], idx) for idx, score in acc.items())
+        )
+        return [
+            Document(doc_id=doc_id, text=self._docs[idx][1], score=-neg_score)
+            for neg_score, doc_id, idx in best
+        ]
 
 
 class ScriptedRetriever:

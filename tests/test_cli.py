@@ -208,3 +208,23 @@ class TestMainDatasetMode:
         )
         assert code == 0
         assert "accuracy=1.0000" in capsys.readouterr().out
+
+    def test_bad_corpus_line_exits_2_with_line_number(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        script_path = tmp_path / "script.json"
+        script_path.write_text("{}", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "cat"}\nnot json\n', encoding="utf-8")
+        code = main(
+            [
+                "--dataset", str(dataset),
+                "--out-dir", str(tmp_path / "out"),
+                "--lm-scripted", str(script_path),
+                "--corpus", str(corpus),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{corpus}:2:" in err

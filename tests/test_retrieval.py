@@ -1,7 +1,10 @@
+import math
 import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ragtree.actions import KnowledgeItem, ReasoningState
 from ragtree.config import BudgetReport
@@ -36,6 +39,61 @@ class TestTokenize:
         assert tokenize("The Cat, sat-on 2 mats!") == ["the", "cat", "sat", "on", "2", "mats"]
         assert tokenize("") == []
         assert tokenize("---") == []
+
+
+def scan_search(documents, query, top_k):
+    """Reference linear scan: score every document against every query term,
+    then sort all hits by (-score, doc_id)."""
+    docs = [(doc_id, text, tokenize(text)) for doc_id, text in documents]
+    df = {}
+    for _, _, terms in docs:
+        for term in set(terms):
+            df[term] = df.get(term, 0) + 1
+    query_terms = tokenize(query)
+    scored = []
+    for doc_id, text, terms in docs:
+        score = 0.0
+        for term in query_terms:
+            if term not in df:
+                continue
+            tf = terms.count(term)
+            if tf:
+                score += tf * math.log(1.0 + len(docs) / df[term])
+        if score > 0.0:
+            scored.append(Document(doc_id=doc_id, text=text, score=score))
+    scored.sort(key=lambda d: (-d.score, d.doc_id))
+    return scored[:top_k]
+
+
+_WORDS = ["cat", "Dog", "of", "the", "x9", "fish"]
+_SEPARATORS = [" ", ", ", "-", "!? ", "\n"]
+
+
+def _texts(words):
+    return st.lists(
+        st.tuples(st.sampled_from(words), st.sampled_from(_SEPARATORS)), max_size=8
+    ).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+class TestLocalIndexMatchesScan:
+    # A small vocabulary and id pool make repeated terms, score ties and
+    # duplicate doc_ids common; "zebra" occurs in no document.
+    @given(
+        documents=st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "d"]), _texts(_WORDS)), max_size=8
+        ),
+        query=st.one_of(
+            _texts(_WORDS + ["zebra"]), st.sampled_from(["", " ", "?!", " -- "])
+        ),
+    )
+    @example(documents=[("b", "cat"), ("a", "cat"), ("a", "cat dog")], query="cat cat zebra")
+    @example(documents=[("a", "cat dog"), ("a", "dog cat")], query="dog, cat")
+    @example(documents=[("a", "cat")], query="!?")
+    @settings(max_examples=300, deadline=None)
+    def test_identical_to_linear_scan(self, documents, query):
+        index = LocalIndex(documents)
+        for top_k in range(1, len(documents) + 3):
+            assert index.search(query, top_k) == scan_search(documents, query, top_k)
 
 
 class TestLocalIndex:
@@ -98,6 +156,18 @@ class TestLocalIndex:
         corpus.write_text('{"doc_id": "d1", "text": "cat"}\nnot json\n', encoding="utf-8")
         with pytest.raises(RetrievalError, match=r":2:"):
             LocalIndex.from_jsonl(corpus)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null"])
+    def test_from_jsonl_non_object_line_names_line(self, tmp_path, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "cat"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(RetrievalError, match=r"corpus\.jsonl:2: bad corpus line"):
+            LocalIndex.from_jsonl(corpus)
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_search_rejects_top_k_below_one(self, top_k):
+        with pytest.raises(RetrievalError, match="top_k"):
+            self.make_index().search("cat", top_k=top_k)
 
 
 class TestScriptedRetriever:
