@@ -94,15 +94,6 @@ class ReasoningState:
         )
 
 
-_TEMPLATE_NAMES = {
-    ActionKind.DIRECT_ANSWER: "a1.txt",
-    ActionKind.QUICK_REASONING: "a2.txt",
-    ActionKind.DECOMPOSE_QUESTION: "a3.txt",
-    ActionKind.RETRIEVAL_REASONING: "a4.txt",
-    ActionKind.RETRIEVAL_DECOMPOSE: "a5.txt",
-    ActionKind.SUMMARIZED_ANSWER: "a6.txt",
-}
-
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 

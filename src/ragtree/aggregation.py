@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .generation import equivalent
+from .generation import cluster_answers, equivalent
 from .tree import SearchTree
 
 
@@ -52,20 +52,18 @@ def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
 def group_answers(
     trajectories: list[Trajectory], equiv: Callable[[str, str], bool] = equivalent
 ) -> list[AnswerGroup]:
-    """Greedy first-match grouping by answer equivalence, in input order."""
+    """Group trajectories with ``cluster_answers``; each group's
+    representative is its first trajectory's answer."""
     if not trajectories:
         raise AggregationError("no trajectories to group")
-    reps: list[str] = []
-    members: list[list[Trajectory]] = []
-    for trajectory in trajectories:
-        for pos, rep in enumerate(reps):
-            if equiv(trajectory.answer, rep):
-                members[pos].append(trajectory)
-                break
-        else:
-            reps.append(trajectory.answer)
-            members.append([trajectory])
-    return [AnswerGroup(representative=r, members=tuple(m)) for r, m in zip(reps, members)]
+    groups = cluster_answers([t.answer for t in trajectories], equiv)
+    return [
+        AnswerGroup(
+            representative=trajectories[m[0]].answer,
+            members=tuple(trajectories[i] for i in m),
+        )
+        for m in groups
+    ]
 
 
 def score_answers(groups: list[AnswerGroup]) -> list[tuple[str, float]]:
@@ -84,8 +82,4 @@ def select_best(scored: list[tuple[str, float]]) -> str:
     to the group whose first trajectory terminated earliest."""
     if not scored:
         raise AggregationError("no scored answers")
-    best_answer, best_score = scored[0]
-    for answer, score in scored[1:]:
-        if score > best_score:
-            best_answer, best_score = answer, score
-    return best_answer
+    return max(scored, key=lambda item: item[1])[0]

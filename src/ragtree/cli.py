@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +34,6 @@ class Example:
     question: str
     gold_answer: str
     choices: tuple[tuple[str, str], ...] = ()
-    corpus_ref: str | None = None
 
 
 @dataclass
@@ -79,7 +78,6 @@ def load_dataset(path: str | Path) -> list[Example]:
                     question=str(row["question"]),
                     gold_answer=str(row["gold_answer"]),
                     choices=choices,
-                    corpus_ref=row.get("corpus_ref"),
                 )
             )
     if not examples:
@@ -186,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-subquestions", type=int, default=2)
     parser.add_argument("--k-completions", type=int, default=4)
     parser.add_argument("--c-uct", type=float, default=1.414)
-    parser.add_argument("--top-k", type=int, default=10)
+    parser.add_argument("--top-k", dest="top_k_docs", metavar="TOP_K", type=int, default=10)
     parser.add_argument("--tau-prune", type=float, default=0.25)
     parser.add_argument(
         "--disable-actions",
+        dest="disabled_actions",
         type=_parse_disabled,
         default=frozenset(),
         metavar="A4,A5",
@@ -197,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--sequential", action="store_true", help="disable parallel sibling expansion"
+        "--sequential",
+        dest="parallel_expansion",
+        action="store_false",
+        help="disable parallel sibling expansion",
     )
     parser.add_argument("--lm-endpoint", help="chat-completions base URL")
     parser.add_argument("--lm-model", default="default", help="model name for --lm-endpoint")
@@ -235,21 +237,23 @@ def _build_retriever(args) -> Retriever | None:
     return None
 
 
+def _explicit_fields(parser: argparse.ArgumentParser, argv: list[str] | None) -> set[str]:
+    """RunConfig fields set on the command line; these beat world overrides.
+
+    Parsing again into a namespace that already holds a sentinel for every
+    field leaves the sentinel wherever argparse would fill in a default, so
+    prefixes (``--k-comp``) and ``--flag=value`` count like full spellings.
+    """
+    unset = object()
+    names = [f.name for f in fields(RunConfig)]
+    parsed = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(names, unset)))
+    return {name for name in names if getattr(parsed, name) is not unset}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        rollouts=args.rollouts,
-        max_depth=args.max_depth,
-        max_subquestions=args.max_subquestions,
-        k_completions=args.k_completions,
-        c_uct=args.c_uct,
-        top_k_docs=args.top_k,
-        tau_prune=args.tau_prune,
-        disabled_actions=args.disable_actions,
-        seed=args.seed,
-        parallel_expansion=not args.sequential,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     try:
         config.validate()
         out_dir = Path(args.out_dir)
@@ -263,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
                 Example(id=w.name, question=w.question, gold_answer=w.gold)
                 for w in worlds.values()
             ]
-            explicit = _explicit_flags(argv if argv is not None else sys.argv[1:])
+            explicit = _explicit_fields(parser, argv)
 
             def config_for(example: Example) -> RunConfig:
                 overrides = {
@@ -301,30 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         f"wall_time_ms={metrics.wall_time_ms_total}"
     )
     return 0
-
-
-_FLAG_TO_FIELD = {
-    "--rollouts": "rollouts",
-    "--max-depth": "max_depth",
-    "--max-subquestions": "max_subquestions",
-    "--k-completions": "k_completions",
-    "--c-uct": "c_uct",
-    "--top-k": "top_k_docs",
-    "--tau-prune": "tau_prune",
-    "--disable-actions": "disabled_actions",
-    "--seed": "seed",
-    "--sequential": "parallel_expansion",
-}
-
-
-def _explicit_flags(argv: list[str]) -> set[str]:
-    """Config fields the user set explicitly; these beat world overrides."""
-    fields = set()
-    for token in argv:
-        flag = token.split("=", 1)[0]
-        if flag in _FLAG_TO_FIELD:
-            fields.add(_FLAG_TO_FIELD[flag])
-    return fields
 
 
 if __name__ == "__main__":

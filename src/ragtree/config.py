@@ -61,6 +61,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Build and validate a config; ``disabled_actions`` may hold action
+        codes or ``ActionKind`` members."""
         kwargs = dict(data)
         if "disabled_actions" in kwargs:
             kwargs["disabled_actions"] = frozenset(

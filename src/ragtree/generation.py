@@ -12,7 +12,7 @@ import re
 import time
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Protocol
+from typing import Callable, Protocol
 
 import requests
 
@@ -64,17 +64,20 @@ class GenerationOutcome:
 _ANSWER_MARKER = re.compile(r"[Tt]he answer is:?")
 
 
-def extract_answer(text: str) -> str | None:
-    """Text after the last 'The answer is' marker, trimmed; None if absent."""
-    last = None
-    for m in _ANSWER_MARKER.finditer(text):
-        last = m
-    if last is None:
+def text_after_marker(text: str, marker: re.Pattern[str]) -> str | None:
+    """Text after the last match of ``marker``, trimmed of whitespace, a
+    trailing period and surrounding quotes; None if the marker is absent,
+    "" if nothing follows it."""
+    matches = list(marker.finditer(text))
+    if not matches:
         return None
-    answer = text[last.end():].strip()
-    answer = answer.rstrip(".").strip()
-    answer = answer.strip('"').strip()
-    return answer or None
+    return text[matches[-1].end():].strip().rstrip(".").strip().strip('"').strip()
+
+
+def extract_answer(text: str) -> str | None:
+    """Text after the last 'The answer is' marker, trimmed; None if absent
+    or empty."""
+    return text_after_marker(text, _ANSWER_MARKER) or None
 
 
 _ARTICLES = frozenset({"a", "an", "the"})
@@ -100,6 +103,23 @@ def normalize_answer(text: str) -> str:
 
 def equivalent(a: str, b: str) -> bool:
     return normalize_answer(a) == normalize_answer(b)
+
+
+def cluster_answers(
+    answers: list[str], equiv: Callable[[str, str], bool] = equivalent
+) -> list[list[int]]:
+    """Greedy first-match clustering in input order: each answer joins the
+    first cluster whose founding answer it matches, else founds a new
+    cluster. Returns each cluster's member indices, in founding order."""
+    clusters: list[list[int]] = []
+    for idx, answer in enumerate(answers):
+        for members in clusters:
+            if equiv(answer, answers[members[0]]):
+                members.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    return clusters
 
 
 def prompt_key(prompt: str) -> str:
@@ -142,9 +162,6 @@ class ScriptedBackend:
                 raise ValueError(f"script entry {key} has no outputs")
             frozen[key] = tuple((str(t), float(ll)) for t, ll in outputs)
         self._script = frozen
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._script
 
     def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
         key = prompt_key(prompt)

@@ -75,12 +75,7 @@ def derive_seed(base: int, *parts) -> int:
 
 @dataclass
 class _Evaluated:
-    action: ActionKind
-    state: ReasoningState
-    raw_reward: float
-    positive_reward: float
-    terminal: bool
-    pruned: bool
+    child: RealizedAction
     record: RetrievalRecord | None
     budget: BudgetReport
     failure: str | None = None
@@ -102,12 +97,14 @@ def _failed(
     )
     failed_state = dc_replace(state, steps=state.steps + (step,))
     return _Evaluated(
-        action=action,
-        state=failed_state,
-        raw_reward=0.0,
-        positive_reward=0.0,
-        terminal=True,
-        pruned=True,
+        child=RealizedAction(
+            action=action,
+            state=failed_state,
+            raw_reward=0.0,
+            positive_reward=0.0,
+            terminal=True,
+            pruned=True,
+        ),
         record=None,
         budget=budget,
         failure=reason,
@@ -187,10 +184,7 @@ def _evaluate_action(
             action, state, prompt, outcome.completions[0].text, budget, "malformed batch"
         )
     node_reward = compute_reward(clusters, answered)
-    majority = max(
-        clusters.clusters, key=lambda c: len(c.members)
-    )  # max() keeps the earliest on ties, matching compute_reward
-    representative = answered[majority.members[0]]
+    representative = answered[clusters.majority.members[0]]
     try:
         new_state = apply_action(state, action, representative, prompt=prompt, retrieval=record)
     except MalformedCompletionError as exc:
@@ -198,12 +192,14 @@ def _evaluate_action(
     pruned = consistency_prune(node_reward, config.tau_prune)
     terminal = pruned or is_terminal(new_state, config)
     return _Evaluated(
-        action=action,
-        state=new_state,
-        raw_reward=node_reward.raw_reward,
-        positive_reward=node_reward.positive_reward,
-        terminal=terminal,
-        pruned=pruned,
+        child=RealizedAction(
+            action=action,
+            state=new_state,
+            raw_reward=node_reward.raw_reward,
+            positive_reward=node_reward.positive_reward,
+            terminal=terminal,
+            pruned=pruned,
+        ),
         record=record,
         budget=budget,
     )
@@ -249,20 +245,9 @@ def rollout(
     else:
         results = [evaluate(a) for a in actions]
 
-    realized = []
     for ev in results:  # commit in canonical action order for determinism
         budget.merge(ev.budget)
-        realized.append(
-            RealizedAction(
-                action=ev.action,
-                state=ev.state,
-                raw_reward=ev.raw_reward,
-                positive_reward=ev.positive_reward,
-                terminal=ev.terminal,
-                pruned=ev.pruned,
-            )
-        )
-    children = tree.expand(node, realized)
+    children = tree.expand(node, [ev.child for ev in results])
     event.update({"expanded": True, "children": [c.id for c in children]})
     retrievals = []
     for ev, child in zip(results, children):

@@ -17,7 +17,7 @@ import requests
 
 from .actions import ReasoningState, context_block, fill_template, load_template
 from .config import BudgetReport
-from .generation import Backend, sample_completions
+from .generation import Backend, sample_completions, text_after_marker
 from .reward import NodeReward
 
 log = logging.getLogger(__name__)
@@ -213,6 +213,23 @@ class WebSearchRetriever:
         return []
 
 
+def _ask(
+    template: str,
+    values: dict[str, str],
+    seed: int,
+    backend: Backend,
+    tag: str,
+    budget: BudgetReport | None,
+) -> str:
+    """One single-sample gate call: fill the template, sample one
+    completion, charge it to the budget, and return its text."""
+    prompt = fill_template(load_template(template), values)
+    outcome = sample_completions(prompt, 1, seed, backend, tag=tag)
+    if budget is not None:
+        budget.add_generation(outcome.tokens_consumed)
+    return outcome.completions[0].text
+
+
 def needs_retrieval(
     state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport | None = None
 ) -> tuple[bool, bool]:
@@ -224,12 +241,9 @@ def needs_retrieval(
     """
     if any(item.sufficient for item in state.knowledge):
         return False, False
-    prompt = fill_template(load_template("necessity.txt"), {"instruction": context_block(state)})
-    outcome = sample_completions(prompt, 1, seed, backend, tag="necessity")
-    if budget is not None:
-        budget.add_generation(outcome.tokens_consumed)
-    text = outcome.completions[0].text.strip().lower()
-    if text.startswith("no"):
+    values = {"instruction": context_block(state)}
+    text = _ask("necessity.txt", values, seed, backend, "necessity", budget)
+    if text.strip().lower().startswith("no"):
         return False, True
     return True, True
 
@@ -240,17 +254,11 @@ _QUERY_MARKER = re.compile(r"[Tt]he query is:?")
 def generate_query(
     state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport | None = None
 ) -> str:
-    prompt = fill_template(load_template("a4.txt"), {"question": context_block(state)})
-    outcome = sample_completions(prompt, 1, seed, backend, tag="query")
-    if budget is not None:
-        budget.add_generation(outcome.tokens_consumed)
-    text = outcome.completions[0].text
-    last = None
-    for m in _QUERY_MARKER.finditer(text):
-        last = m
-    if last is None:
+    values = {"question": context_block(state)}
+    text = _ask("a4.txt", values, seed, backend, "query", budget)
+    query = text_after_marker(text, _QUERY_MARKER)
+    if query is None:
         raise QueryExtractionError("output lacks 'The query is:' marker")
-    query = text[last.end():].strip().rstrip(".").strip().strip('"').strip()
     if not query:
         raise QueryExtractionError("extracted query is empty")
     return query
@@ -280,14 +288,8 @@ def reflect(
     if not documents:
         return Verdict(admit=False, sufficient=False, rationale="no documents retrieved")
     context = "\n".join(f"[{d.doc_id}] {d.text}" for d in documents)
-    prompt = fill_template(
-        load_template("a5.txt"),
-        {"query": query, "question": question, "retrieved_context": context},
-    )
-    outcome = sample_completions(prompt, 1, seed, backend, tag="reflect")
-    if budget is not None:
-        budget.add_generation(outcome.tokens_consumed)
-    text = outcome.completions[0].text
+    values = {"query": query, "question": question, "retrieved_context": context}
+    text = _ask("a5.txt", values, seed, backend, "reflect", budget)
     lowered = text.lower()
     if "evaluation" not in lowered:
         return Verdict(admit=False, sufficient=False, rationale=text.strip())
@@ -304,14 +306,8 @@ def summarize(
     budget: BudgetReport | None = None,
 ) -> str:
     context = "; ".join(d.text for d in documents)
-    prompt = fill_template(
-        load_template("a6.txt"),
-        {"original_question": question, "retrieved_context": context},
-    )
-    outcome = sample_completions(prompt, 1, seed, backend, tag="summarize")
-    if budget is not None:
-        budget.add_generation(outcome.tokens_consumed)
-    summary = outcome.completions[0].text.strip()
+    values = {"original_question": question, "retrieved_context": context}
+    summary = _ask("a6.txt", values, seed, backend, "summarize", budget).strip()
     if not summary:
         raise SummaryError("summarization returned empty text")
     return summary

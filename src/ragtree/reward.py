@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .generation import Completion, equivalent
-from .tree import SearchTree
+from .generation import Completion, cluster_answers, equivalent
 
 
 class RewardError(Exception):
@@ -29,6 +28,11 @@ class ClusterSet:
     clusters: tuple[Cluster, ...]
     total: int
 
+    @property
+    def majority(self) -> Cluster:
+        """The largest cluster; ties keep the earliest founded."""
+        return max(self.clusters, key=lambda c: len(c.members))
+
 
 @dataclass(frozen=True)
 class NodeReward:
@@ -41,25 +45,17 @@ class NodeReward:
 def cluster_completions(
     completions: list[Completion], equiv: Callable[[str, str], bool] = equivalent
 ) -> ClusterSet:
-    """Greedy first-match clustering in input order: each completion joins
-    the first cluster whose representative its answer matches, else founds
-    a new cluster. Callers drop answerless completions beforehand."""
+    """Cluster answers with ``cluster_answers``; each cluster's
+    representative is its founding answer. Callers drop answerless
+    completions beforehand."""
     if not completions:
         raise EmptyBatchError("no completions to cluster")
-    reps: list[str] = []
-    members: list[list[int]] = []
-    for idx, completion in enumerate(completions):
-        if completion.answer is None:
-            raise RewardError(f"completion {idx} has no extracted answer")
-        for pos, rep in enumerate(reps):
-            if equiv(completion.answer, rep):
-                members[pos].append(idx)
-                break
-        else:
-            reps.append(completion.answer)
-            members.append([idx])
+    answers = [c.answer for c in completions]
+    if None in answers:
+        raise RewardError(f"completion {answers.index(None)} has no extracted answer")
+    groups = cluster_answers(answers, equiv)
     clusters = tuple(
-        Cluster(representative=r, members=tuple(m)) for r, m in zip(reps, members)
+        Cluster(representative=completions[m[0]].answer, members=tuple(m)) for m in groups
     )
     return ClusterSet(clusters=clusters, total=len(completions))
 
@@ -73,10 +69,7 @@ def compute_reward(clusters: ClusterSet, completions: list[Completion]) -> NodeR
     """
     if not clusters.clusters:
         raise RewardError("empty cluster set")
-    best = clusters.clusters[0]
-    for cluster in clusters.clusters[1:]:
-        if len(cluster.members) > len(best.members):  # ties keep earliest-founded
-            best = cluster
+    best = clusters.majority
     n_star = len(best.members)
     confidence = n_star / clusters.total
     raw = math.fsum(completions[i].log_likelihood for i in best.members) / n_star
@@ -88,10 +81,3 @@ def compute_reward(clusters: ClusterSet, completions: list[Completion]) -> NodeR
         positive_reward=positive,
     )
 
-
-def update_stats(tree: SearchTree, node_id: int, reward: NodeReward) -> None:
-    """Apply the evaluation to the node and propagate the raw reward up."""
-    node = tree.node(node_id)
-    node.positive_reward = reward.positive_reward
-    node.last_raw_reward = reward.raw_reward
-    tree.backpropagate(node_id, reward.raw_reward)

@@ -34,10 +34,6 @@ class SearchNode:
     last_raw_reward: float = 0.0
     children: list[int] = field(default_factory=list)
 
-    @property
-    def mean_reward(self) -> float:
-        return self.q_value / self.visit_count if self.visit_count else 0.0
-
 
 @dataclass(frozen=True)
 class RealizedAction:

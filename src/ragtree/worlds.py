@@ -40,15 +40,7 @@ class World:
     tags: dict[str, str] = field(default_factory=dict)
 
     def config(self, **overrides) -> RunConfig:
-        merged = dict(self.config_overrides)
-        merged.update(overrides)
-        if "disabled_actions" in merged and not isinstance(
-            merged["disabled_actions"], frozenset
-        ):
-            merged["disabled_actions"] = frozenset(
-                ActionKind(a) for a in merged["disabled_actions"]
-            )
-        return RunConfig(**merged).validate()
+        return RunConfig.from_dict({**self.config_overrides, **overrides})
 
     def backends(self) -> Backends:
         return Backends(

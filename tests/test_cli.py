@@ -167,6 +167,13 @@ class TestMainWorldsMode:
         trace = json.loads((tmp_path / "consistency-trap-00.trace.json").read_text())
         assert trace["config"]["k_completions"] == 5
         assert any(n["pruned"] for n in trace["nodes"])
+        # An explicit flag wins, in every spelling argparse accepts.
+        spellings = (["--k-completions", "3"], ["--k-completions=3"], ["--k-comp", "3"])
+        for i, flag in enumerate(spellings):
+            out = tmp_path / f"explicit{i}"
+            main(["--worlds", str(FIXTURES), "--out-dir", str(out), *flag])
+            trace = json.loads((out / "consistency-trap-00.trace.json").read_text())
+            assert trace["config"]["k_completions"] == 3, flag
 
     def test_deterministic_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,3 @@
-import math
 import random
 
 import mpmath
@@ -6,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragtree.actions import ActionKind, ReasoningState
 from ragtree.generation import Completion, equivalent
 from ragtree.reward import (
     EmptyBatchError,
     RewardError,
     cluster_completions,
     compute_reward,
-    update_stats,
 )
-from ragtree.tree import RealizedAction, SearchTree
 
 
 def comp(answer, ll=0.0):
@@ -163,22 +159,3 @@ class TestComputeReward:
             assert reward.raw_reward == pytest.approx(base.raw_reward)
             assert reward.representative == "x"  # unique majority survives shuffling
 
-
-class TestUpdateStats:
-    def test_applies_reward_and_backpropagates(self):
-        tree = SearchTree(ReasoningState(question="q?"), max_depth=5)
-        children = tree.expand(
-            tree.root,
-            [RealizedAction(action=ActionKind.QUICK_REASONING, state=ReasoningState(question="q?"), raw_reward=0.0)],
-        )
-        child = children[0]
-        batch = [comp("x", -1.0), comp("x", -1.0)]
-        reward = compute_reward(cluster_completions(batch), batch)
-        before_root_q = tree.root.q_value
-        update_stats(tree, child.id, reward)
-        assert child.positive_reward == pytest.approx(math.exp(-1.0))
-        assert child.last_raw_reward == pytest.approx(-1.0)
-        assert child.q_value == pytest.approx(-1.0)
-        assert child.visit_count == 2
-        assert tree.root.q_value == pytest.approx(before_root_q - 1.0)
-        assert tree.backprop_log[-1] == (child.id, reward.raw_reward)
