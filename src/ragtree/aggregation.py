@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-from .generation import cluster_answers, equivalent
+from .generation import cluster_answers
 from .tree import SearchTree
 
 
@@ -49,14 +47,12 @@ def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
     return trajectories
 
 
-def group_answers(
-    trajectories: list[Trajectory], equiv: Callable[[str, str], bool] = equivalent
-) -> list[AnswerGroup]:
+def group_answers(trajectories: list[Trajectory]) -> list[AnswerGroup]:
     """Group trajectories with ``cluster_answers``; each group's
     representative is its first trajectory's answer."""
     if not trajectories:
         raise AggregationError("no trajectories to group")
-    groups = cluster_answers([t.answer for t in trajectories], equiv)
+    groups = cluster_answers([t.answer for t in trajectories])
     return [
         AnswerGroup(
             representative=trajectories[m[0]].answer,

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable
 
 from .actions import ActionKind
-from .config import ConfigError, RunConfig
+from .config import BudgetReport, ConfigError, RunConfig
 from .generation import Backend, HttpBackend, ScriptedBackend, equivalent
 from .orchestrator import NO_ANSWER, Backends, SearchResult, run_search
 from .retrieval import (
@@ -21,7 +21,7 @@ from .retrieval import (
     ScriptedRetriever,
     WebSearchRetriever,
 )
-from .worlds import build_world
+from .worlds import WorldError, build_world
 
 
 class DatasetError(Exception):
@@ -43,6 +43,7 @@ class Metrics:
     avg_lm_calls: float
     avg_retriever_calls: float
     wall_time_ms_total: int
+    errors: int = 0
 
     def to_dict(self) -> dict:
         # Wall time is excluded so metrics files are byte-stable across runs.
@@ -51,6 +52,7 @@ class Metrics:
             "avg_tokens": self.avg_tokens,
             "avg_lm_calls": self.avg_lm_calls,
             "avg_retriever_calls": self.avg_retriever_calls,
+            "errors": self.errors,
         }
 
 
@@ -85,7 +87,7 @@ def load_dataset(path: str | Path) -> list[Example]:
     return examples
 
 
-def grade(prediction: str, example: Example, equiv=equivalent) -> bool:
+def grade(prediction: str, example: Example) -> bool:
     """Multiple-choice: match the gold label or its choice text; free-form:
     normalized equivalence against the gold answer."""
     if prediction == NO_ANSWER:
@@ -93,12 +95,12 @@ def grade(prediction: str, example: Example, equiv=equivalent) -> bool:
     if example.choices:
         gold_label = example.gold_answer
         gold_text = next(
-            (text for label, text in example.choices if equiv(label, gold_label)), None
+            (text for label, text in example.choices if equivalent(label, gold_label)), None
         )
-        if equiv(prediction, gold_label):
+        if equivalent(prediction, gold_label):
             return True
-        return gold_text is not None and equiv(prediction, gold_text)
-    return equiv(prediction, example.gold_answer)
+        return gold_text is not None and equivalent(prediction, gold_text)
+    return equivalent(prediction, example.gold_answer)
 
 
 def dump_trace(result: SearchResult, path: str | Path) -> None:
@@ -120,25 +122,27 @@ def run_benchmark(
     out_dir: str | Path | None = None,
 ) -> tuple[Metrics, list[dict]]:
     """Run the search per example (sequentially), grade, and aggregate.
-    One example's failure never aborts the batch."""
+    One example's failure never aborts the batch; it is recorded with its
+    exception's class name and counted in ``Metrics.errors``."""
     started = time.monotonic()
     records = []
-    correct = 0
-    totals = {"tokens": 0, "lm_calls": 0, "retriever_calls": 0}
+    correct = errors = 0
+    total = BudgetReport()
     for example in examples:
         record: dict = {"id": example.id, "gold": example.gold_answer}
         try:
             cfg = config_for(example) if config_for else config
             result = run_search(example.question, cfg, backends_for(example))
         except Exception as exc:  # per-example isolation
-            record.update({"prediction": None, "correct": False, "error": str(exc)})
+            errors += 1
+            record.update(
+                prediction=None, correct=False, error=str(exc), error_kind=type(exc).__name__
+            )
             records.append(record)
             continue
         ok = grade(result.answer, example)
         correct += ok
-        totals["tokens"] += result.budget.tokens_generated
-        totals["lm_calls"] += result.budget.lm_calls
-        totals["retriever_calls"] += result.budget.retriever_calls
+        total.merge(result.budget)
         record.update({"prediction": result.answer, "correct": ok})
         records.append(record)
         if out_dir is not None:
@@ -146,10 +150,11 @@ def run_benchmark(
     n = len(examples)
     metrics = Metrics(
         accuracy=correct / n,
-        avg_tokens=totals["tokens"] / n,
-        avg_lm_calls=totals["lm_calls"] / n,
-        avg_retriever_calls=totals["retriever_calls"] / n,
+        avg_tokens=total.tokens_generated / n,
+        avg_lm_calls=total.lm_calls / n,
+        avg_retriever_calls=total.retriever_calls / n,
         wall_time_ms_total=int((time.monotonic() - started) * 1000),
+        errors=errors,
     )
     if out_dir is not None:
         payload = {"metrics": metrics.to_dict(), "examples": records}
@@ -179,26 +184,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dataset", help="JSONL dataset of examples")
     parser.add_argument("--worlds", help="directory of scripted world JSON files")
     parser.add_argument("--out-dir", required=True, help="directory for traces and metrics")
-    parser.add_argument("--rollouts", type=int, default=4)
-    parser.add_argument("--max-depth", type=int, default=5)
-    parser.add_argument("--max-subquestions", type=int, default=2)
-    parser.add_argument("--k-completions", type=int, default=4)
-    parser.add_argument("--c-uct", type=float, default=1.414)
-    parser.add_argument("--top-k", dest="top_k_docs", metavar="TOP_K", type=int, default=10)
-    parser.add_argument("--tau-prune", type=float, default=0.25)
+    # RunConfig flags: dest is the field name and there is no default, so a
+    # flag left off parses to None and the RunConfig default applies.
+    parser.add_argument("--rollouts", type=int)
+    parser.add_argument("--max-depth", type=int)
+    parser.add_argument("--max-subquestions", type=int)
+    parser.add_argument("--k-completions", type=int)
+    parser.add_argument("--c-uct", type=float)
+    parser.add_argument("--top-k", dest="top_k_docs", metavar="TOP_K", type=int)
+    parser.add_argument("--tau-prune", type=float)
     parser.add_argument(
         "--disable-actions",
         dest="disabled_actions",
         type=_parse_disabled,
-        default=frozenset(),
         metavar="A4,A5",
         help="comma-separated actions (A1..A5) to ablate",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--sequential",
         dest="parallel_expansion",
         action="store_false",
+        default=None,
         help="disable parallel sibling expansion",
     )
     parser.add_argument("--lm-endpoint", help="chat-completions base URL")
@@ -237,25 +244,18 @@ def _build_retriever(args) -> Retriever | None:
     return None
 
 
-def _explicit_fields(parser: argparse.ArgumentParser, argv: list[str] | None) -> set[str]:
-    """RunConfig fields set on the command line; these beat world overrides.
-
-    Parsing again into a namespace that already holds a sentinel for every
-    field leaves the sentinel wherever argparse would fill in a default, so
-    prefixes (``--k-comp``) and ``--flag=value`` count like full spellings.
-    """
-    unset = object()
-    names = [f.name for f in fields(RunConfig)]
-    parsed = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(names, unset)))
-    return {name for name in names if getattr(parsed, name) is not unset}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    """Exit 0 when every example ran, 2 on a config or input error, 3 when
+    any example raised."""
+    args = build_parser().parse_args(argv)
+    # Flags given on the command line, in any spelling; they beat world overrides.
+    explicit = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name) is not None
+    }
     try:
-        config.validate()
+        config = RunConfig(**explicit).validate()
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.worlds:
@@ -267,22 +267,11 @@ def main(argv: list[str] | None = None) -> int:
                 Example(id=w.name, question=w.question, gold_answer=w.gold)
                 for w in worlds.values()
             ]
-            explicit = _explicit_fields(parser, argv)
-
-            def config_for(example: Example) -> RunConfig:
-                overrides = {
-                    k: v
-                    for k, v in worlds[example.id].config_overrides.items()
-                    if k not in explicit
-                }
-                merged = {**config.to_dict(), **overrides}
-                return RunConfig.from_dict(merged)
-
             metrics, _ = run_benchmark(
                 examples,
                 config,
                 backends_for=lambda ex: worlds[ex.id].backends(),
-                config_for=config_for,
+                config_for=lambda ex: worlds[ex.id].config(**explicit),
                 out_dir=out_dir,
             )
         else:
@@ -295,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             metrics, _ = run_benchmark(
                 examples, config, backends_for=lambda ex: backends, out_dir=out_dir
             )
-    except (ConfigError, DatasetError, RetrievalError, OSError) as exc:
+    except (ConfigError, DatasetError, RetrievalError, WorldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
@@ -304,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         f"avg_retriever_calls={metrics.avg_retriever_calls:.1f} "
         f"wall_time_ms={metrics.wall_time_ms_total}"
     )
+    if metrics.errors:
+        print(f"error: {metrics.errors} of {len(examples)} examples raised", file=sys.stderr)
+        return 3
     return 0
 
 

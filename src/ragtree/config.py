@@ -1,8 +1,7 @@
 """Run configuration and budget accounting."""
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .actions import ActionKind
 
@@ -46,18 +45,9 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "rollouts": self.rollouts,
-            "max_depth": self.max_depth,
-            "max_subquestions": self.max_subquestions,
-            "k_completions": self.k_completions,
-            "c_uct": self.c_uct,
-            "top_k_docs": self.top_k_docs,
-            "tau_prune": self.tau_prune,
-            "disabled_actions": sorted(a.code for a in self.disabled_actions),
-            "seed": self.seed,
-            "parallel_expansion": self.parallel_expansion,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["disabled_actions"] = sorted(a.code for a in self.disabled_actions)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -73,36 +63,26 @@ class RunConfig:
 
 @dataclass
 class BudgetReport:
-    """Monotone counters for one search run.
-
-    Wall time is tracked in memory but deliberately kept out of dumped
-    traces and metrics files so that repeated runs are byte-identical.
-    """
+    """Monotone counters for one search run."""
 
     tokens_generated: int = 0
     lm_calls: int = 0
     retriever_calls: int = 0
-    wall_time_ms: int = 0
-    _started: float = field(default_factory=time.monotonic, repr=False)
 
-    def add_generation(self, tokens: int, calls: int = 1) -> None:
-        if tokens < 0 or calls < 0:
+    def add_generation(self, tokens: int) -> None:
+        """Charge one LM call that generated ``tokens`` tokens."""
+        if tokens < 0:
             raise ValueError("budget increments must be nonnegative")
         self.tokens_generated += tokens
-        self.lm_calls += calls
+        self.lm_calls += 1
 
-    def add_retrieval(self, calls: int = 1) -> None:
-        if calls < 0:
-            raise ValueError("budget increments must be nonnegative")
-        self.retriever_calls += calls
+    def add_retrieval(self) -> None:
+        self.retriever_calls += 1
 
     def merge(self, other: "BudgetReport") -> None:
         self.tokens_generated += other.tokens_generated
         self.lm_calls += other.lm_calls
         self.retriever_calls += other.retriever_calls
-
-    def stop_clock(self) -> None:
-        self.wall_time_ms = int((time.monotonic() - self._started) * 1000)
 
     def to_dict(self) -> dict:
         return {

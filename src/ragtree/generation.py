@@ -12,7 +12,7 @@ import re
 import time
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Callable, Protocol
+from typing import Protocol
 
 import requests
 
@@ -105,16 +105,14 @@ def equivalent(a: str, b: str) -> bool:
     return normalize_answer(a) == normalize_answer(b)
 
 
-def cluster_answers(
-    answers: list[str], equiv: Callable[[str, str], bool] = equivalent
-) -> list[list[int]]:
+def cluster_answers(answers: list[str]) -> list[list[int]]:
     """Greedy first-match clustering in input order: each answer joins the
     first cluster whose founding answer it matches, else founds a new
     cluster. Returns each cluster's member indices, in founding order."""
     clusters: list[list[int]] = []
     for idx, answer in enumerate(answers):
         for members in clusters:
-            if equiv(answer, answers[members[0]]):
+            if equivalent(answer, answers[members[0]]):
                 members.append(idx)
                 break
         else:

@@ -294,7 +294,6 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
         for i in range(config.rollouts):
             events.append(rollout(tree, config, backends, budget, i))
     except BackendUnreachableError as exc:
-        budget.stop_clock()
         trace = _build_trace(question, config, tree, events, {"error": str(exc)}, budget)
         raise PartialResultError(str(exc), trace) from exc
     trajectories = extract_trajectories(tree)
@@ -305,7 +304,6 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
     else:
         scored = []
         answer = NO_ANSWER
-    budget.stop_clock()
     final = {"answer": answer, "scored": [[a, s] for a, s in scored]}
     trace = _build_trace(question, config, tree, events, final, budget)
     return SearchResult(answer=answer, scored_answers=scored, trace=trace, budget=budget)

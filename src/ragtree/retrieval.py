@@ -255,7 +255,7 @@ def generate_query(
     state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport | None = None
 ) -> str:
     values = {"question": context_block(state)}
-    text = _ask("a4.txt", values, seed, backend, "query", budget)
+    text = _ask("query.txt", values, seed, backend, "query", budget)
     query = text_after_marker(text, _QUERY_MARKER)
     if query is None:
         raise QueryExtractionError("output lacks 'The query is:' marker")
@@ -289,7 +289,7 @@ def reflect(
         return Verdict(admit=False, sufficient=False, rationale="no documents retrieved")
     context = "\n".join(f"[{d.doc_id}] {d.text}" for d in documents)
     values = {"query": query, "question": question, "retrieved_context": context}
-    text = _ask("a5.txt", values, seed, backend, "reflect", budget)
+    text = _ask("reflect.txt", values, seed, backend, "reflect", budget)
     lowered = text.lower()
     if "evaluation" not in lowered:
         return Verdict(admit=False, sufficient=False, rationale=text.strip())

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-from .generation import Completion, cluster_answers, equivalent
+from .generation import Completion, cluster_answers
 
 
 class RewardError(Exception):
@@ -42,9 +40,7 @@ class NodeReward:
     positive_reward: float
 
 
-def cluster_completions(
-    completions: list[Completion], equiv: Callable[[str, str], bool] = equivalent
-) -> ClusterSet:
+def cluster_completions(completions: list[Completion]) -> ClusterSet:
     """Cluster answers with ``cluster_answers``; each cluster's
     representative is its founding answer. Callers drop answerless
     completions beforehand."""
@@ -53,7 +49,7 @@ def cluster_completions(
     answers = [c.answer for c in completions]
     if None in answers:
         raise RewardError(f"completion {answers.index(None)} has no extracted answer")
-    groups = cluster_answers(answers, equiv)
+    groups = cluster_answers(answers)
     clusters = tuple(
         Cluster(representative=completions[m[0]].answer, members=tuple(m)) for m in groups
     )

@@ -174,6 +174,11 @@ class TestMainWorldsMode:
             main(["--worlds", str(FIXTURES), "--out-dir", str(out), *flag])
             trace = json.loads((out / "consistency-trap-00.trace.json").read_text())
             assert trace["config"]["k_completions"] == 3, flag
+        # An explicit flag wins even when it equals the RunConfig default.
+        out = tmp_path / "explicit-default"
+        main(["--worlds", str(FIXTURES), "--out-dir", str(out), "--k-completions", "4"])
+        trace = json.loads((out / "consistency-trap-00.trace.json").read_text())
+        assert trace["config"]["k_completions"] == 4
 
     def test_deterministic_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -185,6 +190,13 @@ class TestMainWorldsMode:
     def test_missing_inputs_exit_2(self, tmp_path, capsys):
         assert main(["--out-dir", str(tmp_path)]) == 2
         assert main(["--worlds", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path)]) == 2
+
+    def test_malformed_world_file_exits_2(self, tmp_path, capsys):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        (worlds_dir / "w.json").write_text('{"name": "w"}', encoding="utf-8")
+        assert main(["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "missing field 'question'" in capsys.readouterr().err
 
 
 class TestMainDatasetMode:
@@ -235,3 +247,43 @@ class TestMainDatasetMode:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{corpus}:2:" in err
+
+    def test_no_config_flags_run_the_runconfig_defaults(self, tmp_path, worlds):
+        world = worlds["no-retrieval-00"]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "w0", "question": world.question, "gold_answer": world.gold})
+            + "\n",
+            encoding="utf-8",
+        )
+        script_path = tmp_path / "script.json"
+        script_path.write_text(
+            json.dumps({k: [[t, ll] for t, ll in v] for k, v in world.lm_script.items()}),
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code = main(
+            ["--dataset", str(dataset), "--out-dir", str(out_dir), "--lm-scripted", str(script_path)]
+        )
+        assert code == 0
+        trace = json.loads((out_dir / "w0.trace.json").read_text())
+        assert trace["config"] == RunConfig().to_dict()
+
+    def test_crashing_examples_exit_3_and_are_counted(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            '{"id": "e1", "question": "q1", "gold_answer": "a"}\n'
+            '{"id": "e2", "question": "q2", "gold_answer": "b"}\n',
+            encoding="utf-8",
+        )
+        script_path = tmp_path / "script.json"
+        script_path.write_text("{}", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(
+            ["--dataset", str(dataset), "--out-dir", str(out_dir), "--lm-scripted", str(script_path)]
+        )
+        assert code == 3
+        assert "error: 2 of 2 examples raised" in capsys.readouterr().err
+        payload = json.loads((out_dir / "metrics.json").read_text())
+        assert payload["metrics"]["errors"] == 2
+        assert [r["error_kind"] for r in payload["examples"]] == ["UnknownPromptError"] * 2

@@ -89,7 +89,6 @@ class TestRunSearch:
     def test_trace_excludes_wall_time(self, worlds):
         result = run_world(worlds["no-retrieval-00"])
         assert set(result.trace["budget"]) == {"lm_calls", "retriever_calls", "tokens_generated"}
-        assert result.budget.wall_time_ms >= 0
 
 
 class _FlakyBackend:
