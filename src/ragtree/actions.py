@@ -8,6 +8,7 @@ current reasoning state.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -97,7 +98,9 @@ class ReasoningState:
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """Template text, read from the package once per process."""
     return (resources.files("ragtree") / "templates" / name).read_text(encoding="utf-8")
 
 

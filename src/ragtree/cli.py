@@ -8,7 +8,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .actions import ActionKind
 from .config import BudgetReport, ConfigError, RunConfig
@@ -22,6 +22,9 @@ from .retrieval import (
     WebSearchRetriever,
 )
 from .worlds import WorldError, build_world
+
+
+T = TypeVar("T")
 
 
 class DatasetError(Exception):
@@ -220,10 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_script(path: str, build: Callable[[dict], T]) -> T:
+    """Parse a JSON script file and build its backend from it; a file that
+    is not JSON or not shaped as the backend expects is an input error."""
+    try:
+        script = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(script, dict):
+            raise ValueError(f"expected a JSON object, got {type(script).__name__}")
+        return build(script)
+    except (ValueError, TypeError) as exc:
+        raise DatasetError(f"{path}: malformed script: {exc}") from exc
+
+
 def _build_lm(args) -> Backend:
     if args.lm_scripted:
-        script = json.loads(Path(args.lm_scripted).read_text(encoding="utf-8"))
-        return ScriptedBackend({k: [(t, ll) for t, ll in v] for k, v in script.items()})
+        return _load_script(args.lm_scripted, ScriptedBackend)
     if args.lm_endpoint:
         return HttpBackend(base_url=args.lm_endpoint, model=args.lm_model)
     raise ConfigError("one of --lm-scripted or --lm-endpoint is required")
@@ -233,8 +247,7 @@ def _build_retriever(args) -> Retriever | None:
     if args.retriever == "scripted":
         if not args.retriever_script:
             raise ConfigError("--retriever scripted requires --retriever-script")
-        script = json.loads(Path(args.retriever_script).read_text(encoding="utf-8"))
-        return ScriptedRetriever({q: [(d, t) for d, t in docs] for q, docs in script.items()})
+        return _load_script(args.retriever_script, ScriptedRetriever)
     if args.retriever == "remote":
         if not args.search_endpoint:
             raise ConfigError("--retriever remote requires --search-endpoint")

@@ -12,9 +12,10 @@ import re
 import time
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 
 class GenerationError(Exception):
@@ -194,6 +195,8 @@ class HttpBackend:
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
@@ -202,6 +205,8 @@ class HttpBackend:
         self._session = session or requests.Session()
 
     def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 from .actions import (
+    ACTION_ORDER,
     ActionKind,
     MalformedCompletionError,
     ReasoningState,
@@ -211,9 +212,10 @@ def rollout(
     backends: Backends,
     budget: BudgetReport,
     index: int,
+    pool: ThreadPoolExecutor | None,
 ) -> dict:
     """One search iteration: descend to a leaf, expand it (all legal
-    actions, concurrently when enabled), and backpropagate."""
+    actions, concurrently on ``pool`` when given), and backpropagate."""
     node = tree.root
     while node.children:
         node = tree.select_child(node, config.c_uct)
@@ -239,9 +241,8 @@ def rollout(
     def evaluate(action: ActionKind) -> _Evaluated:
         return _evaluate_action(state, action, node.id, config, backends.lm, backends.retriever)
 
-    if config.parallel_expansion and len(actions) > 1:
-        with ThreadPoolExecutor(max_workers=len(actions)) as pool:
-            results = list(pool.map(evaluate, actions))
+    if pool is not None and len(actions) > 1:
+        results = list(pool.map(evaluate, actions))
     else:
         results = [evaluate(a) for a in actions]
 
@@ -290,12 +291,17 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
     budget = BudgetReport()
     tree = SearchTree(ReasoningState(question=question), max_depth=config.max_depth)
     events: list[dict] = []
+    # One pool per search; it starts threads on demand, at most one per action.
+    pool = ThreadPoolExecutor(max_workers=len(ACTION_ORDER)) if config.parallel_expansion else None
     try:
         for i in range(config.rollouts):
-            events.append(rollout(tree, config, backends, budget, i))
+            events.append(rollout(tree, config, backends, budget, i, pool))
     except BackendUnreachableError as exc:
         trace = _build_trace(question, config, tree, events, {"error": str(exc)}, budget)
         raise PartialResultError(str(exc), trace) from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True)
     trajectories = extract_trajectories(tree)
     if trajectories:
         groups = group_answers(trajectories)

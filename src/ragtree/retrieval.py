@@ -11,9 +11,10 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .actions import ReasoningState, context_block, fill_template, load_template
 from .config import BudgetReport
@@ -179,6 +180,8 @@ class WebSearchRetriever:
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.max_retries = max_retries
@@ -187,6 +190,8 @@ class WebSearchRetriever:
 
     def search(self, query: str, top_k: int) -> list[Document]:
         import os
+
+        import requests
 
         params = {"query": query, "count": top_k}
         headers = {}

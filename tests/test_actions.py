@@ -1,5 +1,9 @@
+from importlib import resources
+from types import SimpleNamespace
+
 import pytest
 
+from ragtree import actions
 from ragtree.actions import (
     ACTION_ORDER,
     ActionError,
@@ -13,6 +17,7 @@ from ragtree.actions import (
     fill_template,
     is_terminal,
     legal_actions,
+    load_template,
     render_prompt,
 )
 from ragtree.config import RunConfig
@@ -118,6 +123,33 @@ class TestRenderPrompt:
     def test_fill_template_unknown_placeholder(self):
         with pytest.raises(ActionError):
             fill_template("hello {nope}", {})
+
+
+class TestTemplateCache:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """One entry per template file read from the package, cache emptied first."""
+        read = []
+
+        def files(package):
+            read.append(package)
+            return resources.files(package)
+
+        load_template.cache_clear()
+        monkeypatch.setattr(actions, "resources", SimpleNamespace(files=files))
+        return read
+
+    def test_second_render_does_not_read_the_file_again(self, reads):
+        render_prompt(A2, state_with())
+        assert len(reads) == 1
+        render_prompt(A2, state_with(steps=(step(),)))
+        assert len(reads) == 1
+
+    def test_unknown_template_raises_on_every_call(self, reads):
+        for _ in range(2):
+            with pytest.raises(OSError):
+                load_template("no-such-template.txt")
+        assert len(reads) == 2
 
 
 class TestContextBlock:

@@ -287,3 +287,23 @@ class TestMainDatasetMode:
         payload = json.loads((out_dir / "metrics.json").read_text())
         assert payload["metrics"]["errors"] == 2
         assert [r["error_kind"] for r in payload["examples"]] == ["UnknownPromptError"] * 2
+
+    @pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"k": 3}'])
+    @pytest.mark.parametrize("flag", ["--lm-scripted", "--retriever-script"])
+    def test_malformed_script_exits_2_naming_the_file(self, tmp_path, capsys, flag, content):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        good = tmp_path / "good.json"
+        good.write_text("{}", encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        argv = [
+            "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "out"),
+            "--retriever", "scripted",
+            "--lm-scripted", str(good),
+            "--retriever-script", str(good),
+        ]
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ragtree
 from ragtree.generation import (
     BackendUnreachableError,
     Completion,
@@ -182,6 +187,17 @@ class _StubSession:
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls.append({"url": url, "json": json})
         return self._responses.pop(0)
+
+
+def test_importing_ragtree_does_not_import_requests():
+    # requests is loaded only when an HTTP client is constructed.
+    paths = [str(Path(ragtree.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ragtree; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestHttpBackend:

@@ -1,7 +1,10 @@
 import json
+import threading
 
 import pytest
 
+from ragtree.actions import ACTION_ORDER
+from ragtree.cli import main
 from ragtree.config import RunConfig
 from ragtree.generation import BackendUnreachableError, ScriptedBackend
 from ragtree.orchestrator import (
@@ -13,7 +16,7 @@ from ragtree.orchestrator import (
     validate_trace,
 )
 
-from conftest import run_world
+from conftest import FIXTURES, run_world
 
 
 class TestDeriveSeed:
@@ -97,12 +100,60 @@ class _FlakyBackend:
     def __init__(self, inner: ScriptedBackend, fuse: int):
         self._inner = inner
         self._fuse = fuse
+        self._lock = threading.Lock()
 
     def sample(self, prompt, k, seed, tag=""):
-        if self._fuse <= 0:
-            raise BackendUnreachableError("simulated outage")
-        self._fuse -= 1
+        with self._lock:
+            if self._fuse <= 0:
+                raise BackendUnreachableError("simulated outage")
+            self._fuse -= 1
         return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+class TestExpansionPool:
+    def test_one_pool_per_search_with_at_most_one_worker_per_action(
+        self, worlds, started_threads
+    ):
+        result = run_world(worlds["retrieval-gated-00"], rollouts=16)
+        expanded = sum(e["expanded"] for e in result.trace["rollouts"])
+        assert expanded > 1  # several parallel expansions share the pool
+        assert 1 < len(started_threads) <= len(ACTION_ORDER)
+        assert not any(t.is_alive() for t in started_threads)
+
+    @pytest.mark.parametrize("fuse", [1, 4, 9, 17])
+    def test_outage_in_parallel_mode_leaves_a_valid_trace_and_no_worker(
+        self, worlds, started_threads, fuse
+    ):
+        world = worlds["retrieval-gated-00"]
+        backends = world.backends()
+        flaky = Backends(lm=_FlakyBackend(backends.lm, fuse=fuse), retriever=backends.retriever)
+        with pytest.raises(PartialResultError) as err:
+            run_search(world.question, world.config(rollouts=16), flaky)
+        validate_trace(err.value.trace)
+        assert not any(t.is_alive() for t in started_threads)
+
+    def test_sequential_starts_no_thread(self, tmp_path, started_threads):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        name = "retrieval-gated-00.json"
+        (worlds_dir / name).write_bytes((FIXTURES / name).read_bytes())
+        argv = ["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out"), "--sequential"]
+        assert main(argv) == 0
+        assert started_threads == []
 
 
 class TestPartialResults:
