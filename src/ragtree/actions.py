@@ -52,7 +52,6 @@ class KnowledgeItem:
     """One admitted retrieval summary carried along a reasoning state."""
 
     text: str
-    source_record: str
     sufficient: bool = False
 
     def __post_init__(self):
@@ -63,9 +62,7 @@ class KnowledgeItem:
 @dataclass(frozen=True)
 class ReasoningStep:
     action: ActionKind
-    prompt_rendered: str
     output_text: str
-    extracted_answer: str | None = None
 
     def __post_init__(self):
         if not self.output_text:
@@ -196,7 +193,6 @@ def apply_action(
     state: ReasoningState,
     action: ActionKind,
     completion: "Completion",
-    prompt: str = "",
     retrieval: "RetrievalRecord | None" = None,
 ) -> ReasoningState:
     """Produce the successor state for one executed action.
@@ -207,20 +203,11 @@ def apply_action(
     """
     if action is ActionKind.DIRECT_ANSWER and completion.answer is None:
         raise MalformedCompletionError("direct-answer output lacks 'The answer is' marker")
-    step = ReasoningStep(
-        action=action,
-        prompt_rendered=prompt,
-        output_text=completion.text,
-        extracted_answer=completion.answer,
-    )
+    step = ReasoningStep(action=action, output_text=completion.text)
     knowledge = state.knowledge
     if action in RETRIEVAL_ACTIONS and retrieval is not None and retrieval.summary:
         knowledge = knowledge + (
-            KnowledgeItem(
-                text=retrieval.summary,
-                source_record=retrieval.record_id,
-                sufficient=retrieval.sufficient,
-            ),
+            KnowledgeItem(text=retrieval.summary, sufficient=retrieval.sufficient),
         )
     subq = state.subquestion_count + (1 if action in DECOMPOSE_ACTIONS else 0)
     answered = state.answered
@@ -237,6 +224,6 @@ def apply_action(
 
 
 def is_terminal(state: ReasoningState, config: "RunConfig") -> bool:
-    """Answered, or at the depth limit. Action-set exhaustion is detected
-    at expansion time (the necessity signal is not known here)."""
+    """Answered, or at the depth limit. Any other state has a legal action,
+    since a validated config keeps A1 or A2 enabled."""
     return state.answered is not None or state.depth >= config.max_depth

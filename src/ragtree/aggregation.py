@@ -17,7 +17,6 @@ class Trajectory:
     node_path: tuple[int, ...]
     answer: str
     reward: float
-    terminal_id: int
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,7 @@ def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
             continue
         path = tuple(reversed(tree.path_to_root(node.id)))
         reward = math.prod(tree.node(nid).positive_reward for nid in path[1:])
-        trajectories.append(
-            Trajectory(
-                node_path=path,
-                answer=node.state.answered,
-                reward=reward,
-                terminal_id=node.id,
-            )
-        )
+        trajectories.append(Trajectory(node_path=path, answer=node.state.answered, reward=reward))
     return trajectories
 
 

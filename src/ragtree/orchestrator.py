@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace as dc_replace
 from .actions import (
     ACTION_ORDER,
     ActionKind,
-    MalformedCompletionError,
     ReasoningState,
     ReasoningStep,
     RETRIEVAL_ACTIONS,
@@ -85,17 +84,11 @@ class _Evaluated:
 def _failed(
     action: ActionKind,
     state: ReasoningState,
-    prompt: str,
     output_text: str,
     budget: BudgetReport,
     reason: str,
 ) -> _Evaluated:
-    step = ReasoningStep(
-        action=action,
-        prompt_rendered=prompt,
-        output_text=output_text or "(no output)",
-        extracted_answer=None,
-    )
+    step = ReasoningStep(action=action, output_text=output_text or "(no output)")
     failed_state = dc_replace(state, steps=state.steps + (step,))
     return _Evaluated(
         child=RealizedAction(
@@ -122,13 +115,13 @@ def _evaluate_action(
 ) -> _Evaluated:
     """Run one action end to end: optional retrieval cycle, K-sample
     generation, majority-cluster reward, and successor-state construction.
-    Branch failures become pruned children, never exceptions."""
+    Branch failures become pruned children, never exceptions. Retrieval
+    actions are legal only when ``rollout`` asked the necessity gate, which
+    it does only when a retriever is configured."""
     budget = BudgetReport()
     record: RetrievalRecord | None = None
     pending_summary: str | None = None
     if action in RETRIEVAL_ACTIONS:
-        if retriever is None:
-            return _failed(action, state, "", "", budget, "no retriever configured")
         try:
             query = generate_query(
                 state, lm, derive_seed(config.seed, node_id, action.code, "query"), budget
@@ -158,7 +151,7 @@ def _evaluate_action(
                         budget,
                     )
                 except SummaryError:
-                    return _failed(action, state, "", "", budget, "empty summary")
+                    return _failed(action, state, "", budget, "empty summary")
             record = RetrievalRecord(
                 record_id=f"n{node_id}-{action.code}",
                 query=query,
@@ -181,15 +174,11 @@ def _evaluate_action(
         clusters = cluster_completions(answered)
     except EmptyBatchError:
         # Every completion was marker-free: the branch is dead on arrival.
-        return _failed(
-            action, state, prompt, outcome.completions[0].text, budget, "malformed batch"
-        )
+        return _failed(action, state, outcome.completions[0].text, budget, "malformed batch")
     node_reward = compute_reward(clusters, answered)
+    # Drawn from ``answered``, so apply_action's missing-answer check cannot fire.
     representative = answered[clusters.majority.members[0]]
-    try:
-        new_state = apply_action(state, action, representative, prompt=prompt, retrieval=record)
-    except MalformedCompletionError as exc:
-        return _failed(action, state, prompt, representative.text, budget, str(exc))
+    new_state = apply_action(state, action, representative, retrieval=record)
     pruned = consistency_prune(node_reward, config.tau_prune)
     terminal = pruned or is_terminal(new_state, config)
     return _Evaluated(
@@ -228,15 +217,11 @@ def rollout(
     retrieval_enabled = bool(RETRIEVAL_ACTIONS - config.disabled_actions)
     needs = False
     if retrieval_enabled and backends.retriever is not None:
-        needs, _ = needs_retrieval(
+        needs = needs_retrieval(
             state, backends.lm, derive_seed(config.seed, node.id, "necessity"), budget
         )
+    # Never empty: RunConfig.validate() keeps A1 or A2 enabled.
     actions = legal_actions(state, config, needs)
-    if not actions:
-        node.terminal = True
-        tree.backpropagate(node.id, node.last_raw_reward)
-        event.update({"expanded": False, "children": []})
-        return event
 
     def evaluate(action: ActionKind) -> _Evaluated:
         return _evaluate_action(state, action, node.id, config, backends.lm, backends.retriever)

@@ -237,20 +237,18 @@ def _ask(
 
 def needs_retrieval(
     state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport | None = None
-) -> tuple[bool, bool]:
+) -> bool:
     """Ask the model whether external retrieval is required.
 
-    Returns (verdict, model_called). Skips the model entirely when an
-    already-admitted knowledge item was judged sufficient for the current
-    question; unparseable verdicts default to True (retrieve).
+    Skips the model entirely when an already-admitted knowledge item was
+    judged sufficient for the current question; unparseable verdicts
+    default to True (retrieve).
     """
     if any(item.sufficient for item in state.knowledge):
-        return False, False
+        return False
     values = {"instruction": context_block(state)}
     text = _ask("necessity.txt", values, seed, backend, "necessity", budget)
-    if text.strip().lower().startswith("no"):
-        return False, True
-    return True, True
+    return not text.strip().lower().startswith("no")
 
 
 _QUERY_MARKER = re.compile(r"[Tt]he query is:?")

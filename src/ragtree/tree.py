@@ -78,9 +78,6 @@ class SearchTree:
         except IndexError:
             raise TreeError(f"no node with id {node_id}") from None
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     @property
     def nodes(self) -> tuple[SearchNode, ...]:
         return tuple(self._nodes)

@@ -145,7 +145,7 @@ def test_criterion_answer_scores_normalized_and_scale_invariant():
     pool = ["alpha", "beta", "gamma", "42", "42.0"]
     for _ in range(500):
         trajectories = [
-            Trajectory(node_path=(0, i + 1), answer=rng.choice(pool), reward=rng.uniform(1e-6, 1.0), terminal_id=i + 1)
+            Trajectory(node_path=(0, i + 1), answer=rng.choice(pool), reward=rng.uniform(1e-6, 1.0))
             for i in range(rng.randint(1, 10))
         ]
         scored = score_answers(group_answers(trajectories))
@@ -153,7 +153,7 @@ def test_criterion_answer_scores_normalized_and_scale_invariant():
         base_pick = select_best(scored)
         scale = rng.uniform(1e-3, 1e3)
         rescaled = [
-            Trajectory(node_path=t.node_path, answer=t.answer, reward=t.reward * scale, terminal_id=t.terminal_id)
+            Trajectory(node_path=t.node_path, answer=t.answer, reward=t.reward * scale)
             for t in trajectories
         ]
         assert select_best(score_answers(group_answers(rescaled))) == base_pick

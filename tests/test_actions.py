@@ -33,14 +33,12 @@ def state_with(**kwargs) -> ReasoningState:
     return ReasoningState(question="What is the capital of Atlantis?", **kwargs)
 
 
-def step(action=A2, text="Step 1: thinking.", answer=None) -> ReasoningStep:
-    return ReasoningStep(
-        action=action, prompt_rendered="p", output_text=text, extracted_answer=answer
-    )
+def step(action=A2, text="Step 1: thinking.") -> ReasoningStep:
+    return ReasoningStep(action=action, output_text=text)
 
 
 def knowledge(text="Atlantis fell in 9600 BC.", sufficient=False) -> KnowledgeItem:
-    return KnowledgeItem(text=text, source_record="r0", sufficient=sufficient)
+    return KnowledgeItem(text=text, sufficient=sufficient)
 
 
 class TestLegalActions:
@@ -166,7 +164,7 @@ class TestContextBlock:
 class TestApplyAction:
     def test_pure_and_append_only(self):
         state = state_with()
-        out = apply_action(state, A2, Completion(text="Step 1: ok.", answer=None), prompt="p")
+        out = apply_action(state, A2, Completion(text="Step 1: ok.", answer=None))
         assert state.steps == ()
         assert len(out.steps) == 1
         assert out.steps[0].action is A2

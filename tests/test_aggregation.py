@@ -17,7 +17,7 @@ from ragtree.tree import RealizedAction, SearchTree
 
 
 def traj(answer, reward, terminal_id=0):
-    return Trajectory(node_path=(0, terminal_id), answer=answer, reward=reward, terminal_id=terminal_id)
+    return Trajectory(node_path=(0, terminal_id), answer=answer, reward=reward)
 
 
 def answered_state(answer):

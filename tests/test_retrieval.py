@@ -261,29 +261,32 @@ class TestNeedsRetrieval:
         return scripted_for(prompt, [(reply, -0.1)])
 
     def test_yes(self):
-        verdict, called = needs_retrieval(self.STATE, self.backend("Yes, retrieval needed."), 0)
-        assert verdict is True and called is True
+        budget = BudgetReport()
+        verdict = needs_retrieval(self.STATE, self.backend("Yes, retrieval needed."), 0, budget)
+        assert verdict is True and budget.lm_calls == 1
 
     def test_no(self):
-        verdict, called = needs_retrieval(self.STATE, self.backend("No."), 0)
-        assert verdict is False and called is True
+        budget = BudgetReport()
+        verdict = needs_retrieval(self.STATE, self.backend("No."), 0, budget)
+        assert verdict is False and budget.lm_calls == 1
 
     def test_garbage_defaults_to_retrieve(self):
-        verdict, _ = needs_retrieval(self.STATE, self.backend("perhaps??"), 0)
+        verdict = needs_retrieval(self.STATE, self.backend("perhaps??"), 0)
         assert verdict is True
 
     def test_sufficient_knowledge_short_circuits(self):
         state = ReasoningState(
             question="q?",
-            knowledge=(KnowledgeItem(text="t", source_record="r", sufficient=True),),
+            knowledge=(KnowledgeItem(text="t", sufficient=True),),
         )
 
         class Exploding:
             def sample(self, *a, **k):
                 raise AssertionError("must not be called")
 
-        verdict, called = needs_retrieval(state, Exploding(), 0)
-        assert verdict is False and called is False
+        budget = BudgetReport()
+        verdict = needs_retrieval(state, Exploding(), 0, budget)
+        assert verdict is False and budget.lm_calls == 0
 
     def test_budget_counted(self):
         budget = BudgetReport()
