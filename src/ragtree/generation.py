@@ -237,8 +237,13 @@ class HttpBackend:
 
     @staticmethod
     def _parse(data: dict, k: int) -> GenerationOutcome:
+        # A server that ignores ``n`` would make every cluster 1 of 1 and every
+        # confidence 1.0, so a short reply is malformed, not a smaller batch.
+        choices = data["choices"]
+        if len(choices) < k:
+            raise ValueError(f"backend returned {len(choices)} choices, expected {k}")
         completions = []
-        for choice in data["choices"][:k]:
+        for choice in choices[:k]:
             text = choice["message"]["content"]
             logprobs = choice.get("logprobs") or {}
             content = logprobs.get("content") or []
@@ -246,8 +251,6 @@ class HttpBackend:
             completions.append(
                 Completion(text=text, answer=extract_answer(text), log_likelihood=ll)
             )
-        if not completions:
-            raise ValueError("backend returned no choices")
         usage = data.get("usage") or {}
         tokens = int(usage.get("completion_tokens", sum(count_tokens(c.text) for c in completions)))
         return GenerationOutcome(completions=tuple(completions), tokens_consumed=tokens)

@@ -136,14 +136,15 @@ class RecordingBackend(ScriptedBackend):
 
 def closure_configs(base: RunConfig) -> list[RunConfig]:
     """Every configuration the acceptance suite runs a world under; the
-    recorded script must cover the union of their reachable prompts."""
+    recorded script must cover the union of their reachable prompts.
+    Sequential expansion renders the same prompts as parallel expansion,
+    so recording one mode closes the world for both."""
     no_retrieval = frozenset(
         {ActionKind.RETRIEVAL_REASONING, ActionKind.RETRIEVAL_DECOMPOSE}
     ) | base.disabled_actions
     return [
         replace(base, rollouts=16),
         replace(base, rollouts=16, disabled_actions=no_retrieval),
-        replace(base, rollouts=16, parallel_expansion=False),
     ]
 
 

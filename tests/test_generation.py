@@ -233,6 +233,23 @@ class TestHttpBackend:
             backend.sample("q", 1, seed=0)
         assert len(session.calls) == 3
 
+    def test_fewer_choices_than_k_is_unreachable_after_retries(self, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        session = _StubSession([_StubResponse(self.payload())] * 3)
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        with pytest.raises(BackendUnreachableError, match="2 choices, expected 4"):
+            backend.sample("q", 4, seed=0)
+        assert len(session.calls) == 3
+
+    def test_extra_choices_are_cut_to_k(self):
+        payload = self.payload()
+        payload["choices"] = [payload["choices"][0]] * 5
+        session = _StubSession([_StubResponse(payload)])
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session)
+        out = backend.sample("q", 4, seed=0)
+        assert len(out.completions) == 4
+        assert all(c.answer == "7" for c in out.completions)
+
     def test_recovers_after_transient_error(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         session = _StubSession([_StubResponse({}, status=503), _StubResponse(self.payload())])
