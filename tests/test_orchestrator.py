@@ -15,6 +15,7 @@ from ragtree.orchestrator import (
     run_search,
     validate_trace,
 )
+from ragtree.tree import SearchTree
 
 from conftest import FIXTURES, run_world
 
@@ -154,6 +155,55 @@ class TestExpansionPool:
         argv = ["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out"), "--sequential"]
         assert main(argv) == 0
         assert started_threads == []
+
+
+class _ThreadRecordingBackend:
+    """Passes calls through and notes the thread each one ran on."""
+
+    def __init__(self, inner, threads: list[int]):
+        self._inner = inner
+        self._threads = threads
+
+    def sample(self, prompt, k, seed, tag=""):
+        self._threads.append(threading.get_ident())
+        return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+class TestSingleWriter:
+    def test_tree_methods_run_only_on_the_search_thread(self, worlds, monkeypatch):
+        # Pool workers get an immutable ReasoningState and never touch the
+        # tree, which is why SearchTree needs no lock.
+        search_thread = threading.get_ident()
+        called: set[str] = set()
+        lm_threads: list[int] = []
+
+        def on_caller_thread(name, fn):
+            # Fails at the first stray call, before it can perturb the search.
+            def wrapped(*args, **kwargs):
+                assert threading.get_ident() == search_thread, f"SearchTree.{name} off thread"
+                called.add(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name, attr in list(vars(SearchTree).items()):
+            if isinstance(attr, property):
+                monkeypatch.setattr(SearchTree, name, property(on_caller_thread(name, attr.fget)))
+            elif callable(attr):
+                monkeypatch.setattr(SearchTree, name, on_caller_thread(name, attr))
+
+        for world in worlds.values():
+            backends = world.backends()
+            recording = Backends(
+                lm=_ThreadRecordingBackend(backends.lm, lm_threads),
+                retriever=backends.retriever,
+            )
+            config = world.config(rollouts=16, parallel_expansion=True)
+            run_search(world.question, config, recording)
+
+        assert {"__init__", "select_child", "backpropagate", "expand"} <= called
+        # Not vacuous: the searches did hand backend calls to pool workers.
+        assert any(ident != search_thread for ident in lm_threads)
 
 
 class TestPartialResults:
