@@ -2,14 +2,14 @@
 
 Every node evaluation backpropagates its reward through the full ancestor
 path, so for any internal node the visit count is exactly one (its own
-creation) plus the sum of its children's visit counts. All mutation goes
-through a single lock; concurrent readers see consistent snapshots because
-commits happen under the same lock.
+creation) plus the sum of its children's visit counts. Only the search
+thread calls tree methods: pool workers evaluate actions on an immutable
+``ReasoningState`` and hand the results back for the search thread to
+commit, so the tree needs no lock.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .actions import ActionKind, ReasoningState
@@ -63,7 +63,6 @@ class SearchTree:
     def __init__(self, root_state: ReasoningState, max_depth: int):
         self.max_depth = max_depth
         self._nodes: list[SearchNode] = [SearchNode(id=0, state=root_state)]
-        self._lock = threading.Lock()
         # (leaf_id, reward) per backpropagation, in commit order; paths are
         # immutable so the full increment history is replayable from this log.
         self.backprop_log: list[tuple[int, float]] = []
@@ -112,10 +111,6 @@ class SearchTree:
 
     def backpropagate(self, leaf_id: int, reward: float) -> None:
         """Add reward and one visit to every node from leaf to root."""
-        with self._lock:
-            self._backpropagate_locked(leaf_id, reward)
-
-    def _backpropagate_locked(self, leaf_id: int, reward: float) -> None:
         for node_id in self.path_to_root(leaf_id):
             node = self._nodes[node_id]
             node.q_value += reward
@@ -125,34 +120,33 @@ class SearchTree:
     def expand(self, node: SearchNode, realized: list[RealizedAction]) -> list[SearchNode]:
         """Append one child per realized action and backpropagate each
         child's raw reward; an empty action list marks the node terminal."""
-        with self._lock:
-            if node.terminal:
-                raise TreeError(f"cannot expand terminal node {node.id}")
-            if node.children:
-                raise TreeError(f"node {node.id} is already expanded")
-            if not realized:
-                node.terminal = True
-                return []
-            if node.depth + 1 > self.max_depth:
-                raise TreeError(f"expansion of node {node.id} would exceed max depth")
-            created = []
-            for item in realized:
-                child = SearchNode(
-                    id=len(self._nodes),
-                    state=item.state,
-                    incoming_action=item.action,
-                    parent=node.id,
-                    depth=node.depth + 1,
-                    positive_reward=item.positive_reward,
-                    terminal=item.terminal,
-                    pruned=item.pruned,
-                    last_raw_reward=item.raw_reward,
-                )
-                self._nodes.append(child)
-                node.children.append(child.id)
-                self._backpropagate_locked(child.id, item.raw_reward)
-                created.append(child)
-            return created
+        if node.terminal:
+            raise TreeError(f"cannot expand terminal node {node.id}")
+        if node.children:
+            raise TreeError(f"node {node.id} is already expanded")
+        if not realized:
+            node.terminal = True
+            return []
+        if node.depth + 1 > self.max_depth:
+            raise TreeError(f"expansion of node {node.id} would exceed max depth")
+        created = []
+        for item in realized:
+            child = SearchNode(
+                id=len(self._nodes),
+                state=item.state,
+                incoming_action=item.action,
+                parent=node.id,
+                depth=node.depth + 1,
+                positive_reward=item.positive_reward,
+                terminal=item.terminal,
+                pruned=item.pruned,
+                last_raw_reward=item.raw_reward,
+            )
+            self._nodes.append(child)
+            node.children.append(child.id)
+            self.backpropagate(child.id, item.raw_reward)
+            created.append(child)
+        return created
 
     def to_trace_nodes(self) -> list[dict]:
         return [
