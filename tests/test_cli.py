@@ -191,6 +191,24 @@ class TestMainWorldsMode:
         assert main(["--out-dir", str(tmp_path)]) == 2
         assert main(["--worlds", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path)]) == 2
 
+    def test_disable_actions_ablates_retrieval(self, tmp_path):
+        argv = ["--worlds", str(FIXTURES), "--out-dir", str(tmp_path), "--disable-actions", "A4,A5"]
+        assert main(argv) == 0
+        traces = sorted(tmp_path.glob("*.trace.json"))
+        assert len(traces) == 20
+        for path in traces:
+            trace = json.loads(path.read_text())
+            assert trace["config"]["disabled_actions"] == ["A4", "A5"], path.name
+            used = {n["action"] for n in trace["nodes"]}
+            assert not used & {"A4", "A5"}, path.name
+
+    def test_disabling_a6_exits_2(self, tmp_path, capsys):
+        argv = ["--worlds", str(FIXTURES), "--out-dir", str(tmp_path), "--disable-actions", "A6"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "cannot disable 'A6'" in capsys.readouterr().err
+
     def test_malformed_world_file_exits_2(self, tmp_path, capsys):
         worlds_dir = tmp_path / "worlds"
         worlds_dir.mkdir()
@@ -287,6 +305,26 @@ class TestMainDatasetMode:
         payload = json.loads((out_dir / "metrics.json").read_text())
         assert payload["metrics"]["errors"] == 2
         assert [r["error_kind"] for r in payload["examples"]] == ["UnknownPromptError"] * 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "--lm-scripted or --lm-endpoint"),
+            (["--lm-scripted", "{script}", "--retriever", "scripted"], "--retriever-script"),
+            (["--lm-scripted", "{script}", "--retriever", "remote"], "--search-endpoint"),
+        ],
+    )
+    def test_missing_backend_inputs_exit_2(self, tmp_path, capsys, flags, message):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        script_path = tmp_path / "script.json"
+        script_path.write_text("{}", encoding="utf-8")
+        flags = [f.format(script=script_path) for f in flags]
+        argv = ["--dataset", str(dataset), "--out-dir", str(tmp_path / "out"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     @pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"k": 3}'])
     @pytest.mark.parametrize("flag", ["--lm-scripted", "--retriever-script"])

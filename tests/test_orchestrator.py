@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from ragtree.actions import ACTION_ORDER
 from ragtree.cli import main
 from ragtree.config import RunConfig
-from ragtree.generation import BackendUnreachableError, ScriptedBackend
+from ragtree.generation import (
+    BackendUnreachableError,
+    Completion,
+    GenerationOutcome,
+    ScriptedBackend,
+    extract_answer,
+)
 from ragtree.orchestrator import (
     NO_ANSWER,
     Backends,
@@ -15,6 +22,7 @@ from ragtree.orchestrator import (
     run_search,
     validate_trace,
 )
+from ragtree.retrieval import ScriptedRetriever
 from ragtree.tree import SearchTree
 
 from conftest import FIXTURES, run_world
@@ -247,6 +255,26 @@ class TestValidateTrace:
         with pytest.raises(ValueError, match="disabled"):
             validate_trace(self.corrupt(trace, disable_used_action))
 
+    def test_rejects_subquestion_overflow(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"]).trace
+
+        def overflow(t):
+            limit = t["config"]["max_subquestions"]
+            node = t["nodes"][1]
+            node["state_summary"] = re.sub(r"subq=\d+", f"subq={limit + 1}", node["state_summary"])
+
+        with pytest.raises(ValueError, match="max subquestions"):
+            validate_trace(self.corrupt(trace, overflow))
+
+    def test_rejects_inconsistent_depth(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"]).trace
+
+        def lift_root(t):
+            t["nodes"][0]["depth"] = 1  # within max_depth, but its children sit at 1 too
+
+        with pytest.raises(ValueError, match="inconsistent depth"):
+            validate_trace(self.corrupt(trace, lift_root))
+
     def test_rejects_terminal_parent(self, worlds):
         trace = run_world(worlds["no-retrieval-00"]).trace
 
@@ -255,6 +283,61 @@ class TestValidateTrace:
 
         with pytest.raises(ValueError, match="terminal"):
             validate_trace(self.corrupt(trace, terminalize_root))
+
+
+class _ByTag:
+    """Answers each call by its tag, and keeps every prompt it was sent."""
+
+    def __init__(self, replies: dict[str, str]):
+        self._replies = replies
+        self.prompts: dict[str, list[str]] = {}
+
+    def sample(self, prompt, k, seed, tag=""):
+        self.prompts.setdefault(tag, []).append(prompt)
+        text = self._replies.get(tag, "The answer is: Paris.")
+        completions = tuple(Completion(text=text, answer=extract_answer(text)) for _ in range(k))
+        return GenerationOutcome(completions=completions, tokens_consumed=k)
+
+
+class TestBranchFailures:
+    QUESTION = "What is the capital of France?"
+    DOCS = {"capital of France": [("d1", "Paris is the capital of France.")]}
+
+    def expand_root(self, replies):
+        lm = _ByTag({"necessity": "Yes.", **replies})
+        retriever = ScriptedRetriever(self.DOCS)
+        result = run_search(self.QUESTION, RunConfig(rollouts=1), Backends(lm, retriever))
+        children = {n["action"]: n for n in result.trace["nodes"] if n["parent"] == 0}
+        return result, lm, retriever, children
+
+    def test_query_without_marker_degrades_to_plain_reasoning(self):
+        result, lm, retriever, children = self.expand_root({"query": "Search the web."})
+        assert {"A4", "A5"} <= set(children)
+        assert retriever.calls == 0
+        event = result.trace["rollouts"][0]
+        assert "retrieval" not in event and "failures" not in event
+        assert not children["A4"]["pruned"]
+        assert "knowledge=0" in children["A4"]["state_summary"]
+        # A4 without retrieved context renders exactly A2's prompt.
+        assert lm.prompts["A4"] == lm.prompts["A2"]
+        validate_trace(result.trace)
+
+    def test_blank_summary_prunes_the_branch(self):
+        replies = {
+            "query": "The query is: capital of France",
+            "reflect": "Evaluation: relevant.",
+            "summarize": "   ",
+        }
+        result, lm, retriever, children = self.expand_root(replies)
+        assert retriever.calls == 2  # A4 and A5 each retrieved
+        event = result.trace["rollouts"][0]
+        assert "retrieval" not in event
+        failed = [children["A4"]["id"], children["A5"]["id"]]
+        assert event["failures"] == [{"node": i, "reason": "empty summary"} for i in failed]
+        for code in ("A4", "A5"):
+            assert children[code]["pruned"] and children[code]["terminal"]
+        assert not children["A2"]["pruned"]
+        validate_trace(result.trace)
 
 
 class TestAblation:
