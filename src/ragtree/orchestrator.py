@@ -87,6 +87,7 @@ def _failed(
     output_text: str,
     budget: BudgetReport,
     reason: str,
+    record: RetrievalRecord | None = None,
 ) -> _Evaluated:
     step = ReasoningStep(action=action, output_text=output_text or "(no output)")
     failed_state = dc_replace(state, steps=state.steps + (step,))
@@ -99,7 +100,7 @@ def _failed(
             terminal=True,
             pruned=True,
         ),
-        record=None,
+        record=record,
         budget=budget,
         failure=reason,
     )
@@ -151,7 +152,7 @@ def _evaluate_action(
                         budget,
                     )
                 except SummaryError:
-                    return _failed(action, state, "", budget, "empty summary")
+                    summary = ""  # summarize never returns "", so this marks the failure
             record = RetrievalRecord(
                 record_id=f"n{node_id}-{action.code}",
                 query=query,
@@ -159,6 +160,8 @@ def _evaluate_action(
                 verdict=verdict,
                 summary=summary,
             )
+            if summary == "":
+                return _failed(action, state, "", budget, "empty summary", record)
             pending_summary = summary
     prompt = render_prompt(action, state, pending_summary)
     outcome = sample_completions(

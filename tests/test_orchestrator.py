@@ -331,8 +331,17 @@ class TestBranchFailures:
         result, lm, retriever, children = self.expand_root(replies)
         assert retriever.calls == 2  # A4 and A5 each retrieved
         event = result.trace["rollouts"][0]
-        assert "retrieval" not in event
         failed = [children["A4"]["id"], children["A5"]["id"]]
+        # The failed cycles stay in the trace: query, documents, verdict, blank summary.
+        assert [(e["node"], e["record_id"]) for e in event["retrieval"]] == [
+            (failed[0], "n0-A4"),
+            (failed[1], "n0-A5"),
+        ]
+        for entry in event["retrieval"]:
+            assert entry["query"] == "capital of France"
+            assert entry["documents"] == ["d1"]
+            assert entry["verdict"] == "admit"
+            assert entry["summary"] == ""
         assert event["failures"] == [{"node": i, "reason": "empty summary"} for i in failed]
         for code in ("A4", "A5"):
             assert children[code]["pruned"] and children[code]["terminal"]
