@@ -6,6 +6,11 @@ Determinism under parallelism: every LM call gets a seed derived from
 concurrently but are committed to the tree strictly in canonical action
 order, and per-evaluation budget deltas are merged at commit time. The
 parallel and sequential modes therefore produce identical traces.
+
+In parallel mode the retrieval-necessity gate call runs on the search
+thread while the siblings it does not gate (all but A4 and A5) already run
+on the search's pool, which has at most one worker per action (six). Only
+the search thread touches the tree.
 """
 from __future__ import annotations
 
@@ -206,8 +211,14 @@ def rollout(
     index: int,
     pool: ThreadPoolExecutor | None,
 ) -> dict:
-    """One search iteration: descend to a leaf, expand it (all legal
-    actions, concurrently on ``pool`` when given), and backpropagate."""
+    """One search iteration: descend to a leaf, expand it with all legal
+    actions, and backpropagate.
+
+    Without ``pool`` the gate call comes first and the actions run inline
+    in canonical order. With ``pool`` every action runs on the pool: the
+    ungated siblings are submitted before the gate call, which runs on
+    this thread, and A4/A5 after it if it says retrieval is needed. The
+    results are collected and committed in canonical order either way."""
     node = tree.root
     while node.children:
         node = tree.select_child(node, config.c_uct)
@@ -217,22 +228,37 @@ def rollout(
         event.update({"expanded": False, "children": []})
         return event
     state = node.state
-    retrieval_enabled = bool(RETRIEVAL_ACTIONS - config.disabled_actions)
-    needs = False
-    if retrieval_enabled and backends.retriever is not None:
-        needs = needs_retrieval(
-            state, backends.lm, derive_seed(config.seed, node.id, "necessity"), budget
-        )
-    # Never empty: RunConfig.validate() keeps A1 or A2 enabled.
-    actions = legal_actions(state, config, needs)
+    node_id = node.id
 
     def evaluate(action: ActionKind) -> _Evaluated:
-        return _evaluate_action(state, action, node.id, config, backends.lm, backends.retriever)
+        return _evaluate_action(state, action, node_id, config, backends.lm, backends.retriever)
 
-    if pool is not None and len(actions) > 1:
-        results = list(pool.map(evaluate, actions))
+    def gate() -> bool:
+        if not RETRIEVAL_ACTIONS - config.disabled_actions or backends.retriever is None:
+            return False
+        return needs_retrieval(
+            state, backends.lm, derive_seed(config.seed, node_id, "necessity"), budget
+        )
+
+    # Never empty: RunConfig.validate() keeps A1 or A2 enabled.
+    if pool is None:
+        results = [evaluate(a) for a in legal_actions(state, config, gate())]
     else:
-        results = [evaluate(a) for a in actions]
+        # The gate's verdict decides only A4 and A5, so the other legal
+        # actions start on the pool before the gate call, not after it.
+        futures = {a: pool.submit(evaluate, a) for a in legal_actions(state, config, False)}
+        try:
+            actions = legal_actions(state, config, gate())
+            for action in actions:
+                if action not in futures:
+                    futures[action] = pool.submit(evaluate, action)
+            results = [futures[a].result() for a in actions]
+        except BaseException:
+            # Unstarted siblings never run; running ones finish inside
+            # run_search's pool shutdown, and their budgets are dropped.
+            for future in futures.values():
+                future.cancel()
+            raise
 
     for ev in results:  # commit in canonical action order for determinism
         budget.merge(ev.budget)

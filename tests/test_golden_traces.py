@@ -8,10 +8,12 @@ tests/test_golden_traces.py`` and says why in CHANGES.md.
 import hashlib
 import json
 import tempfile
+import time
 from pathlib import Path
 
 from ragtree.cli import dump_trace
-from ragtree.orchestrator import run_search
+from ragtree.generation import prompt_key
+from ragtree.orchestrator import Backends, run_search
 from ragtree.worlds import build_world
 
 HERE = Path(__file__).resolve().parent
@@ -42,6 +44,34 @@ def test_trace_digests_match_golden(tmp_path):
     assert len(digests) == 20 * len(ROLLOUTS) * 2
     assert sorted(digests) == sorted(golden)
     changed = [key for key in golden if digests[key] != golden[key]]
+    assert not changed, f"trace bytes changed for {changed}"
+
+
+class _Jittered:
+    """Delays each call by 0-3 ms, a fixed function of the prompt, so that
+    sibling evaluations finish in an order other than the canonical one."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def sample(self, prompt, k, seed, tag=""):
+        time.sleep(int(prompt_key(prompt), 16) % 4 / 1000)
+        return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+def test_out_of_order_completion_keeps_the_parallel_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    changed = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        world = build_world(path)
+        backends = world.backends()
+        jittered = Backends(lm=_Jittered(backends.lm), retriever=backends.retriever)
+        config = world.config(rollouts=16, parallel_expansion=True)
+        trace_path = tmp_path / f"{world.name}.json"
+        dump_trace(run_search(world.question, config, jittered), trace_path)
+        key = f"{world.name}/r16/parallel"
+        if hashlib.sha256(trace_path.read_bytes()).hexdigest() != golden[key]:
+            changed.append(key)
     assert not changed, f"trace bytes changed for {changed}"
 
 

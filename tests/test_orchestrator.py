@@ -1,11 +1,12 @@
 import json
 import re
 import threading
+import time
 
 import pytest
 
 from ragtree.actions import ACTION_ORDER
-from ragtree.cli import main
+from ragtree.cli import dump_trace, main
 from ragtree.config import RunConfig
 from ragtree.generation import (
     BackendUnreachableError,
@@ -163,6 +164,88 @@ class TestExpansionPool:
         argv = ["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out"), "--sequential"]
         assert main(argv) == 0
         assert started_threads == []
+
+
+class _GateWaitsForSibling:
+    """Holds each necessity call until a main sample of A1, A2 or A3 has
+    started, for at most 5 s, and notes whether one did."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._sibling_started = threading.Event()
+        self.overlapped: list[bool] = []
+
+    def sample(self, prompt, k, seed, tag=""):
+        if tag in ("A1", "A2", "A3"):
+            self._sibling_started.set()
+        elif tag == "necessity":
+            self.overlapped.append(self._sibling_started.wait(5))
+        return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+class _GateOutage:
+    """Raises on the n-th necessity call, after a pause in which siblings
+    already on the pool can finish. Only the search thread makes necessity
+    calls, so the count needs no lock."""
+
+    def __init__(self, inner, n: int):
+        self._inner = inner
+        self._left = n
+
+    def sample(self, prompt, k, seed, tag=""):
+        if tag == "necessity":
+            self._left -= 1
+            if self._left == 0:
+                time.sleep(0.1)
+                raise BackendUnreachableError("simulated gate outage")
+        return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+def conserved(trace: dict) -> bool:
+    """Replaying the backprop log reproduces every node's visit count."""
+    parents = {n["id"]: n["parent"] for n in trace["nodes"]}
+    visits = dict.fromkeys(parents, 0)
+    for leaf, _ in trace["backprops"]:
+        node = leaf
+        while node is not None:
+            visits[node] += 1
+            node = parents[node]
+    if any(n["n"] != visits[n["id"]] for n in trace["nodes"]):
+        return False
+    return trace["nodes"][0]["n"] == len(trace["backprops"])
+
+
+class TestGateOverlap:
+    def test_ungated_siblings_start_before_the_gate_returns(self, worlds):
+        world = worlds["no-retrieval-00"]
+        backends = world.backends()
+        lm = _GateWaitsForSibling(backends.lm)
+        config = world.config(rollouts=1, parallel_expansion=True)
+        run_search(world.question, config, Backends(lm, backends.retriever))
+        assert lm.overlapped == [True]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gate_outage_drops_in_flight_siblings(self, worlds, started_threads, tmp_path, n):
+        # no-retrieval-00 makes 5 necessity calls at r=16, all answered "No".
+        world = worlds["no-retrieval-00"]
+        dumped = {}
+        for parallel in (False, True):
+            backends = world.backends()
+            lm = _GateOutage(backends.lm, n)
+            config = world.config(rollouts=16, parallel_expansion=parallel)
+            with pytest.raises(PartialResultError) as err:
+                run_search(world.question, config, Backends(lm, backends.retriever))
+            trace = err.value.trace
+            validate_trace(trace)
+            assert conserved(trace)
+            assert trace["config"].pop("parallel_expansion") is parallel
+            path = tmp_path / f"parallel-{parallel}.json"
+            dump_trace(err.value, path)
+            dumped[parallel] = path.read_bytes()
+        # Equal budgets: the siblings running when the gate failed were not merged.
+        assert dumped[True] == dumped[False]
+        assert len(started_threads) > 0
+        assert not any(t.is_alive() for t in started_threads)
 
 
 class _ThreadRecordingBackend:
