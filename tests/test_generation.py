@@ -3,7 +3,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from decimal import Decimal
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ragtree
+from ragtree.actions import ActionKind, ReasoningState, render_prompt
+from ragtree.cli import dump_trace
 from ragtree.generation import (
     BackendUnreachableError,
     Completion,
@@ -25,6 +30,7 @@ from ragtree.generation import (
     prompt_key,
     sample_completions,
 )
+from ragtree.orchestrator import Backends, run_search
 
 
 def reference_extract(text: str) -> str | None:
@@ -256,3 +262,118 @@ class TestHttpBackend:
         backend = HttpBackend("http://lm.test/v1", model="m", session=session)
         out = backend.sample("q", 2, seed=0)
         assert out.completions[0].answer == "7"
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers /chat/completions from the server's scripted backend."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        if self.path != "/chat/completions":
+            self.send_error(404)
+            return
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        outcome = self.server.lm.sample(prompt, body["n"], body["seed"])
+        choices = [
+            {
+                "message": {"role": "assistant", "content": c.text},
+                "logprobs": {"content": [{"token": c.text, "logprob": c.log_likelihood}]},
+            }
+            for c in outcome.completions
+        ]
+        with self.server.lock:
+            self.server.posts += 1
+            if self.server.short_replies:
+                self.server.short_replies -= 1
+                choices.pop()
+        data = json.dumps(
+            {"choices": choices, "usage": {"completion_tokens": outcome.tokens_consumed}}
+        ).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class _ChatServer(ThreadingHTTPServer):
+    """A local chat-completions endpoint backed by a ScriptedBackend. Its
+    first ``short_replies`` replies carry one choice fewer than asked."""
+
+    def __init__(self, lm: ScriptedBackend):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.lm = lm
+        self.lock = threading.Lock()
+        self.posts = 0
+        self.short_replies = 0
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+
+@pytest.fixture
+def chat_server(worlds):
+    server = _ChatServer(worlds["no-retrieval-00"].backends().lm)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+    assert not thread.is_alive()
+
+
+class TestHttpBackendLocalServer:
+    def test_parallel_search_writes_the_scripted_trace(self, worlds, chat_server, tmp_path):
+        import requests
+
+        class ThreadNotingSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                self.threads = set()
+
+            def post(self, *args, **kwargs):
+                self.threads.add(threading.get_ident())
+                return super().post(*args, **kwargs)
+
+        world = worlds["no-retrieval-00"]
+        config = world.config(rollouts=16, parallel_expansion=True)
+        dump_trace(run_search(world.question, config, world.backends()), tmp_path / "scripted")
+        with ThreadNotingSession() as session:
+            lm = HttpBackend(chat_server.url, model="scripted", session=session)
+            backends = Backends(lm=lm, retriever=world.backends().retriever)
+            dump_trace(run_search(world.question, config, backends), tmp_path / "http")
+        assert (tmp_path / "http").read_bytes() == (tmp_path / "scripted").read_bytes()
+        # The search thread (gate calls) and the pool workers shared the session.
+        assert threading.get_ident() in session.threads and len(session.threads) > 1
+
+    def test_short_first_reply_is_retried(self, worlds, chat_server, monkeypatch):
+        import requests
+
+        sleeps = []
+        real_sleep = time.sleep
+
+        def recording_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        world = worlds["no-retrieval-00"]
+        k = world.config().k_completions
+        prompt = render_prompt(ActionKind.DIRECT_ANSWER, ReasoningState(world.question), None)
+        chat_server.short_replies = 1
+        with requests.Session() as session:
+            lm = HttpBackend(chat_server.url, model="scripted", session=session)
+            outcome = lm.sample(prompt, k, seed=0)
+        assert outcome == world.backends().lm.sample(prompt, k, seed=0)
+        assert chat_server.posts == 2
+        assert sleeps == [1.0]
