@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from ragtree.actions import ACTION_ORDER
+from ragtree.actions import ACTION_ORDER, ReasoningState
+from ragtree.aggregation import AggregationError
 from ragtree.cli import dump_trace, main
-from ragtree.config import RunConfig
+from ragtree.config import BudgetReport, RunConfig
 from ragtree.generation import (
     BackendUnreachableError,
     Completion,
@@ -20,6 +21,7 @@ from ragtree.orchestrator import (
     Backends,
     PartialResultError,
     derive_seed,
+    rollout,
     run_search,
     validate_trace,
 )
@@ -369,16 +371,18 @@ class TestValidateTrace:
 
 
 class _ByTag:
-    """Answers each call by its tag, and keeps every prompt it was sent."""
+    """Answers each call by its tag, and keeps every prompt it was sent. A
+    reply is one text for all k completions, or a list of k texts."""
 
-    def __init__(self, replies: dict[str, str]):
+    def __init__(self, replies: dict[str, str | list[str]]):
         self._replies = replies
         self.prompts: dict[str, list[str]] = {}
 
     def sample(self, prompt, k, seed, tag=""):
         self.prompts.setdefault(tag, []).append(prompt)
-        text = self._replies.get(tag, "The answer is: Paris.")
-        completions = tuple(Completion(text=text, answer=extract_answer(text)) for _ in range(k))
+        reply = self._replies.get(tag, "The answer is: Paris.")
+        texts = reply if isinstance(reply, list) else [reply] * k
+        completions = tuple(Completion(text=t, answer=extract_answer(t)) for t in texts)
         return GenerationOutcome(completions=completions, tokens_consumed=k)
 
 
@@ -430,6 +434,62 @@ class TestBranchFailures:
             assert children[code]["pruned"] and children[code]["terminal"]
         assert not children["A2"]["pruned"]
         validate_trace(result.trace)
+
+    def expand_bare_root(self, replies):
+        """One rollout without a retriever, on a tree the test can read."""
+        config = RunConfig(rollouts=1)
+        tree = SearchTree(ReasoningState(question=self.QUESTION), max_depth=config.max_depth)
+        event = rollout(tree, config, Backends(_ByTag(replies)), BudgetReport(), 0, None)
+        children = {}
+        for cid in tree.root.children:
+            child = tree.node(cid)
+            children[child.incoming_action.code] = child
+        return event, children
+
+    def test_answerless_batch_prunes_the_branch(self):
+        replies = {code: [f"{code} muses, take {i}." for i in range(4)] for code in ("A1", "A2", "A3")}
+        event, children = self.expand_bare_root(replies)
+        assert list(children) == ["A1", "A2", "A3"]
+        assert event["failures"] == [
+            {"node": child.id, "reason": "malformed batch"} for child in children.values()
+        ]
+        for code, child in children.items():
+            assert child.pruned and child.terminal
+            assert child.state.steps[-1].output_text == f"{code} muses, take 0."
+
+    def test_mixed_batch_scores_only_answered_completions(self):
+        replies = {
+            "A1": ["Hmm.", "Lyon, I think. The answer is: Lyon.", "Unsure.", "The answer is: Lyon."]
+        }
+        event, children = self.expand_bare_root(replies)
+        assert "failures" not in event
+        a1 = children["A1"]
+        # Both answered completions agree: confidence 2/2, not 2/4.
+        assert a1.positive_reward == 1.0
+        assert not a1.pruned
+        assert a1.state.steps[-1].output_text == "Lyon, I think. The answer is: Lyon."
+        assert a1.state.answered == "Lyon"
+
+
+class TestRewardUnderflow:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AggregationError,
+        reason="conf*exp(min(raw, 0)) underflows to 0.0 below about -745, so every "
+        "trajectory reward is 0; scoring trajectories in log space fixes it",
+    )
+    def test_long_completions_keep_a_positive_trajectory_reward(self):
+        # A real LM that sums log-probabilities over a long chain of
+        # thought reaches -800.
+        class Verbose:
+            def sample(self, prompt, k, seed, tag=""):
+                completion = Completion(
+                    text="The answer is: Paris.", answer="Paris", log_likelihood=-800.0
+                )
+                return GenerationOutcome(completions=(completion,) * k, tokens_consumed=k)
+
+        result = run_search("What is the capital of France?", RunConfig(rollouts=8), Backends(Verbose()))
+        assert result.answer == "Paris"
 
 
 class TestAblation:
