@@ -25,10 +25,6 @@ class ActionError(Exception):
     """Illegal action use: bad preconditions or malformed model output."""
 
 
-class MalformedCompletionError(ActionError):
-    """A terminal action's output lacks the required answer marker."""
-
-
 class ActionKind(Enum):
     DIRECT_ANSWER = "A1"
     QUICK_REASONING = "A2"
@@ -135,7 +131,8 @@ def legal_actions(
     A1/A2 are always candidates; decomposition is capped by the
     sub-question budget; retrieval actions require the necessity signal;
     summarization requires material to summarize. Ablated actions
-    (``config.disabled_actions``) are removed last.
+    (``config.disabled_actions``) are removed last; a validated config keeps
+    A1 or A2 enabled, so the result is never empty.
     """
     if state.answered is not None:
         raise ActionError("state is terminal; no legal actions")
@@ -154,8 +151,6 @@ def legal_actions(
             ok = bool(state.knowledge) or len(state.steps) >= 2
         if ok and action not in config.disabled_actions:
             allowed.append(action)
-    if not allowed and not state.steps:
-        raise ActionError("root state admits no actions; check disabled_actions")
     return tuple(allowed)
 
 
@@ -202,7 +197,7 @@ def apply_action(
     retrieval summary (if any) into the knowledge list.
     """
     if action is ActionKind.DIRECT_ANSWER and completion.answer is None:
-        raise MalformedCompletionError("direct-answer output lacks 'The answer is' marker")
+        raise ActionError("direct-answer output lacks 'The answer is' marker")
     step = ReasoningStep(action=action, output_text=completion.text)
     knowledge = state.knowledge
     if action in RETRIEVAL_ACTIONS and retrieval is not None and retrieval.summary:

@@ -19,12 +19,6 @@ class Trajectory:
     reward: float
 
 
-@dataclass(frozen=True)
-class AnswerGroup:
-    representative: str
-    members: tuple[Trajectory, ...]
-
-
 def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
     """One trajectory per answered, non-pruned terminal node; its reward is
     the product of positive rewards along the path, root excluded (the root
@@ -39,30 +33,24 @@ def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
     return trajectories
 
 
-def group_answers(trajectories: list[Trajectory]) -> list[AnswerGroup]:
-    """Group trajectories with ``cluster_answers``; each group's
-    representative is its first trajectory's answer."""
+def group_answers(trajectories: list[Trajectory]) -> list[list[Trajectory]]:
+    """Group trajectories with ``cluster_answers``; a group is named by its
+    first trajectory's answer."""
     if not trajectories:
         raise AggregationError("no trajectories to group")
     groups = cluster_answers([t.answer for t in trajectories])
-    return [
-        AnswerGroup(
-            representative=trajectories[m[0]].answer,
-            members=tuple(trajectories[i] for i in m),
-        )
-        for m in groups
-    ]
+    return [[trajectories[i] for i in m] for m in groups]
 
 
-def score_answers(groups: list[AnswerGroup]) -> list[tuple[str, float]]:
+def score_answers(groups: list[list[Trajectory]]) -> list[tuple[str, float]]:
     """Each group's share of the total trajectory reward; shares sum to 1."""
     if not groups:
         raise AggregationError("no answer groups to score")
-    totals = [math.fsum(t.reward for t in g.members) for g in groups]
+    totals = [math.fsum(t.reward for t in g) for g in groups]
     grand_total = math.fsum(totals)
     if grand_total <= 0.0:
         raise AggregationError("total trajectory reward is not positive")
-    return [(g.representative, total / grand_total) for g, total in zip(groups, totals)]
+    return [(g[0].answer, total / grand_total) for g, total in zip(groups, totals)]
 
 
 def select_best(scored: list[tuple[str, float]]) -> str:

@@ -33,10 +33,8 @@ from .aggregation import extract_trajectories, group_answers, score_answers, sel
 from .config import BudgetReport, RunConfig
 from .generation import Backend, BackendUnreachableError, sample_completions
 from .retrieval import (
-    QueryExtractionError,
     RetrievalRecord,
     Retriever,
-    SummaryError,
     consistency_prune,
     execute_query,
     generate_query,
@@ -44,7 +42,7 @@ from .retrieval import (
     reflect,
     summarize,
 )
-from .reward import EmptyBatchError, cluster_completions, compute_reward
+from .reward import cluster_completions, compute_reward
 from .tree import RealizedAction, SearchTree
 
 NO_ANSWER = "<no-answer>"
@@ -121,53 +119,52 @@ def _evaluate_action(
 ) -> _Evaluated:
     """Run one action end to end: optional retrieval cycle, K-sample
     generation, majority-cluster reward, and successor-state construction.
-    Branch failures become pruned children, never exceptions. Retrieval
-    actions are legal only when ``rollout`` asked the necessity gate, which
-    it does only when a retriever is configured."""
+
+    Expected branch outcomes are plain values, never exceptions. A query
+    without a marker (``None``) degrades the action to plain reasoning. A
+    blank summary (``""``) prunes the branch as "empty summary", keeping its
+    retrieval record. A batch with no answered completion prunes it as
+    "malformed batch". Retrieval actions are legal only when ``rollout``
+    asked the necessity gate, which it does only when a retriever is
+    configured."""
     budget = BudgetReport()
     record: RetrievalRecord | None = None
     pending_summary: str | None = None
+    query = None
     if action in RETRIEVAL_ACTIONS:
-        try:
-            query = generate_query(
-                state, lm, derive_seed(config.seed, node_id, action.code, "query"), budget
-            )
-        except QueryExtractionError:
-            # No usable query: the action degrades to plain reasoning.
-            record = None
-        else:
-            documents = execute_query(query, retriever, config.top_k_docs)
-            budget.add_retrieval()
-            verdict = reflect(
-                query,
+        query = generate_query(
+            state, lm, derive_seed(config.seed, node_id, action.code, "query"), budget
+        )
+    if query is not None:
+        documents = execute_query(query, retriever, config.top_k_docs)
+        budget.add_retrieval()
+        verdict = reflect(
+            query,
+            documents,
+            state.question,
+            lm,
+            derive_seed(config.seed, node_id, action.code, "reflect"),
+            budget,
+        )
+        summary = None
+        if verdict.admit:
+            summary = summarize(
                 documents,
                 state.question,
                 lm,
-                derive_seed(config.seed, node_id, action.code, "reflect"),
+                derive_seed(config.seed, node_id, action.code, "summarize"),
                 budget,
             )
-            summary = None
-            if verdict.admit:
-                try:
-                    summary = summarize(
-                        documents,
-                        state.question,
-                        lm,
-                        derive_seed(config.seed, node_id, action.code, "summarize"),
-                        budget,
-                    )
-                except SummaryError:
-                    summary = ""  # summarize never returns "", so this marks the failure
-            record = RetrievalRecord(
-                record_id=f"n{node_id}-{action.code}",
-                query=query,
-                documents=tuple(documents),
-                verdict=verdict,
-                summary=summary,
-            )
-            if summary == "":
-                return _failed(action, state, "", budget, "empty summary", record)
-            pending_summary = summary
+        record = RetrievalRecord(
+            record_id=f"n{node_id}-{action.code}",
+            query=query,
+            documents=tuple(documents),
+            verdict=verdict,
+            summary=summary,
+        )
+        if summary == "":
+            return _failed(action, state, "", budget, "empty summary", record)
+        pending_summary = summary
     prompt = render_prompt(action, state, pending_summary)
     outcome = sample_completions(
         prompt,
@@ -178,14 +175,11 @@ def _evaluate_action(
     )
     budget.add_generation(outcome.tokens_consumed)
     answered = [c for c in outcome.completions if c.answer is not None]
-    try:
-        clusters = cluster_completions(answered)
-    except EmptyBatchError:
-        # Every completion was marker-free: the branch is dead on arrival.
+    if not answered:
         return _failed(action, state, outcome.completions[0].text, budget, "malformed batch")
-    node_reward = compute_reward(clusters, answered)
+    node_reward = compute_reward(cluster_completions(answered), answered)
     # Drawn from ``answered``, so apply_action's missing-answer check cannot fire.
-    representative = answered[clusters.majority.members[0]]
+    representative = answered[node_reward.majority[0]]
     new_state = apply_action(state, action, representative, retrieval=record)
     pruned = consistency_prune(node_reward, config.tau_prune)
     terminal = pruned or is_terminal(new_state, config)

@@ -119,14 +119,11 @@ class SearchTree:
 
     def expand(self, node: SearchNode, realized: list[RealizedAction]) -> list[SearchNode]:
         """Append one child per realized action and backpropagate each
-        child's raw reward; an empty action list marks the node terminal."""
+        child's raw reward."""
         if node.terminal:
             raise TreeError(f"cannot expand terminal node {node.id}")
         if node.children:
             raise TreeError(f"node {node.id} is already expanded")
-        if not realized:
-            node.terminal = True
-            return []
         if node.depth + 1 > self.max_depth:
             raise TreeError(f"expansion of node {node.id} would exceed max depth")
         created = []

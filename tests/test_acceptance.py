@@ -48,12 +48,12 @@ def test_criterion_clustering_matches_brute_force_oracle(worlds):
                     break
             else:
                 oracle.append([i])
-        assert [list(c.members) for c in clusters.clusters] == oracle, trial
+        assert clusters == oracle, trial
         # Majority: largest, earliest-founded on ties.
         sizes = [len(g) for g in oracle]
         majority = oracle[sizes.index(max(sizes))]
         reward = compute_reward(clusters, batch)
-        assert reward.representative == batch[majority[0]].answer
+        assert reward.majority == tuple(majority)
         conf_exact = Fraction(len(majority), k)
         assert Fraction(reward.confidence).limit_denominator(10**6) == conf_exact
         assert reward.confidence == len(majority) / k

@@ -1,3 +1,4 @@
+import itertools
 from importlib import resources
 from types import SimpleNamespace
 
@@ -9,7 +10,6 @@ from ragtree.actions import (
     ActionError,
     ActionKind,
     KnowledgeItem,
-    MalformedCompletionError,
     ReasoningState,
     ReasoningStep,
     apply_action,
@@ -20,7 +20,7 @@ from ragtree.actions import (
     load_template,
     render_prompt,
 )
-from ragtree.config import RunConfig
+from ragtree.config import ConfigError, RunConfig
 from ragtree.generation import Completion
 from ragtree.retrieval import Document, RetrievalRecord, Verdict
 
@@ -71,6 +71,25 @@ class TestLegalActions:
     def test_terminal_state_rejected(self):
         with pytest.raises(ActionError):
             legal_actions(state_with(answered="x"), CONFIG, False)
+
+    def test_never_empty_under_a_validated_config(self):
+        # The invariant that lets rollout and SearchTree.expand assume at
+        # least one action: every config that validates keeps A1 or A2.
+        states = [
+            state_with(subquestion_count=subq, knowledge=kn, steps=steps)
+            for subq in (0, 2)
+            for kn in ((), (knowledge(),))
+            for steps in ((), (step(), step()))
+        ]
+        for n in range(len(ACTION_ORDER) + 1):
+            for disabled in itertools.combinations(ACTION_ORDER, n):
+                try:
+                    config = RunConfig(disabled_actions=frozenset(disabled)).validate()
+                except ConfigError:
+                    continue
+                for state in states:
+                    for needs in (False, True):
+                        assert legal_actions(state, config, needs), (disabled, state, needs)
 
     def test_canonical_order_preserved(self):
         state = state_with(knowledge=(knowledge(),), steps=(step(), step()))
@@ -176,7 +195,7 @@ class TestApplyAction:
         assert out.answered == "Poseidia"
 
     def test_a1_without_marker_errors(self):
-        with pytest.raises(MalformedCompletionError):
+        with pytest.raises(ActionError):
             apply_action(state_with(), A1, Completion(text="Poseidia, probably.", answer=None))
 
     def test_a2_never_answers(self):

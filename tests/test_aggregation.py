@@ -96,8 +96,8 @@ class TestExtractTrajectories:
 class TestGroupAnswers:
     def test_equivalence_grouping(self):
         groups = group_answers([traj("42", 0.3), traj("Paris", 0.2), traj("42.0", 0.1)])
-        assert [g.representative for g in groups] == ["42", "Paris"]
-        assert len(groups[0].members) == 2
+        assert [g[0].answer for g in groups] == ["42", "Paris"]
+        assert len(groups[0]) == 2
 
     def test_empty_errors(self):
         with pytest.raises(AggregationError):

@@ -440,11 +440,8 @@ class TestBranchFailures:
         config = RunConfig(rollouts=1)
         tree = SearchTree(ReasoningState(question=self.QUESTION), max_depth=config.max_depth)
         event = rollout(tree, config, Backends(_ByTag(replies)), BudgetReport(), 0, None)
-        children = {}
-        for cid in tree.root.children:
-            child = tree.node(cid)
-            children[child.incoming_action.code] = child
-        return event, children
+        children = [tree.node(cid) for cid in tree.root.children]
+        return event, {child.incoming_action.code: child for child in children}
 
     def test_answerless_batch_prunes_the_branch(self):
         replies = {code: [f"{code} muses, take {i}." for i in range(4)] for code in ("A1", "A2", "A3")}

@@ -12,11 +12,9 @@ from ragtree.generation import ScriptedBackend, prompt_key
 from ragtree.retrieval import (
     Document,
     LocalIndex,
-    QueryExtractionError,
     RetrievalError,
     RetrievalRecord,
     ScriptedRetriever,
-    SummaryError,
     Verdict,
     WebSearchRetriever,
     consistency_prune,
@@ -308,13 +306,11 @@ class TestGenerateQuery:
             "argon discoverer"
         )
 
-    def test_missing_marker_raises(self):
-        with pytest.raises(QueryExtractionError):
-            self.run("I would search for argon.")
+    def test_missing_marker_gives_none(self):
+        assert self.run("I would search for argon.") is None
 
-    def test_empty_query_raises(self):
-        with pytest.raises(QueryExtractionError):
-            self.run("The query is: .")
+    def test_empty_query_gives_none(self):
+        assert self.run("The query is: .") is None
 
 
 class TestExecuteQuery:
@@ -383,14 +379,13 @@ class TestSummarize:
             "Key Points: Point 1: found in 1894."
         )
 
-    def test_empty_summary_raises(self):
-        with pytest.raises(SummaryError):
-            self.run("   ")
+    def test_empty_summary_gives_empty_text(self):
+        assert self.run("   ") == ""
 
 
 class TestConsistencyPrune:
     def reward(self, conf):
-        return NodeReward(representative="x", confidence=conf, raw_reward=0.0, positive_reward=conf)
+        return NodeReward(majority=(0,), confidence=conf, raw_reward=0.0, positive_reward=conf)
 
     def test_strict_threshold(self):
         assert consistency_prune(self.reward(0.2), tau=0.25)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragtree.generation import Completion, equivalent
-from ragtree.reward import (
-    EmptyBatchError,
-    RewardError,
-    cluster_completions,
-    compute_reward,
-)
+from ragtree.reward import cluster_completions, compute_reward
 
 
 def comp(answer, ll=0.0):
@@ -35,22 +30,13 @@ class TestClustering:
     def test_exact_partition(self):
         batch = [comp("42"), comp("Paris"), comp("42.0"), comp("paris!")]
         clusters = cluster_completions(batch)
-        assert [c.members for c in clusters.clusters] == [(0, 2), (1, 3)]
-        assert clusters.clusters[0].representative == "42"
-        assert clusters.total == 4
+        assert clusters == [[0, 2], [1, 3]]
+        assert batch[clusters[0][0]].answer == "42"
+        assert sum(map(len, clusters)) == 4
 
     def test_singletons(self):
         clusters = cluster_completions([comp("a"), comp("b"), comp("c")])
-        assert len(clusters.clusters) == 3
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatchError):
-            cluster_completions([])
-
-    def test_answerless_member_rejected(self):
-        bad = Completion(text="no marker", answer=None)
-        with pytest.raises(RewardError):
-            cluster_completions([comp("a"), bad])
+        assert len(clusters) == 3
 
     @given(
         st.lists(
@@ -62,7 +48,7 @@ class TestClustering:
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_oracle(self, answers):
         clusters = cluster_completions([comp(a) for a in answers])
-        assert [c.members for c in clusters.clusters] == brute_force_partition(answers)
+        assert [tuple(c) for c in clusters] == brute_force_partition(answers)
 
     @given(
         st.lists(
@@ -74,7 +60,7 @@ class TestClustering:
     @settings(max_examples=200, deadline=None)
     def test_is_a_partition(self, answers):
         clusters = cluster_completions([comp(a) for a in answers])
-        seen = sorted(i for c in clusters.clusters for i in c.members)
+        seen = sorted(i for c in clusters for i in c)
         assert seen == list(range(len(answers)))
 
 
@@ -83,7 +69,7 @@ class TestComputeReward:
         # 3-of-4 majority with log-likelihoods -1, -2, -3 -> conf 0.75, raw -2
         batch = [comp("x", -1.0), comp("x", -2.0), comp("x", -3.0), comp("y", -0.1)]
         reward = compute_reward(cluster_completions(batch), batch)
-        assert reward.representative == "x"
+        assert reward.majority == (0, 1, 2)
         assert reward.confidence == pytest.approx(0.75, abs=1e-12)
         assert reward.raw_reward == pytest.approx(-2.0, abs=1e-12)
         with mpmath.workdps(50):
@@ -106,7 +92,7 @@ class TestComputeReward:
     def test_tie_keeps_earliest_founded(self):
         batch = [comp("a", -1.0), comp("b", -0.1), comp("a", -1.0), comp("b", -0.1)]
         reward = compute_reward(cluster_completions(batch), batch)
-        assert reward.representative == "a"
+        assert reward.majority == (0, 2)
 
     def test_singleton_batch(self):
         batch = [comp("only", -0.5)]
@@ -131,20 +117,21 @@ class TestComputeReward:
         reward = compute_reward(clusters, batch)
         k = len(batch)
         # confidence is n*/K for integer n*, and n* is the max cluster size
-        n_star = max(len(c.members) for c in clusters.clusters)
+        n_star = max(len(c) for c in clusters)
         assert reward.confidence == pytest.approx(n_star / k)
         assert 0.0 < reward.positive_reward <= 1.0
         # raw reward is the mean over the majority cluster, independently summed
-        majority = next(c for c in clusters.clusters if len(c.members) == n_star)
-        want_raw = sum(batch[i].log_likelihood for i in majority.members) / n_star
+        majority = next(c for c in clusters if len(c) == n_star)
+        assert reward.majority == tuple(majority)
+        want_raw = sum(batch[i].log_likelihood for i in majority) / n_star
         assert reward.raw_reward == pytest.approx(want_raw, rel=1e-12, abs=1e-12)
 
     def test_confidence_monotone_in_majority_size(self):
         rewards = []
         for n_agree in (1, 2, 3, 4):
             batch = [comp("x", -1.0)] * n_agree + [comp(f"w{i}", -1.0) for i in range(4 - n_agree)]
-            rewards.append(compute_reward(cluster_completions(batch), batch))
-        confs = [r.confidence for r in rewards if r.representative == "x"]
+            rewards.append((batch, compute_reward(cluster_completions(batch), batch)))
+        confs = [r.confidence for batch, r in rewards if batch[r.majority[0]].answer == "x"]
         assert confs == sorted(confs)
 
     def test_permutation_changes_nothing_but_representative_ties(self):
@@ -157,5 +144,6 @@ class TestComputeReward:
             reward = compute_reward(cluster_completions(shuffled), shuffled)
             assert reward.confidence == base.confidence
             assert reward.raw_reward == pytest.approx(base.raw_reward)
-            assert reward.representative == "x"  # unique majority survives shuffling
+            # unique majority survives shuffling
+            assert shuffled[reward.majority[0]].answer == "x"
 

@@ -182,11 +182,6 @@ class TestExpand:
         with pytest.raises(TreeError):
             tree.expand(tree.node(1), [realized(ActionKind.DIRECT_ANSWER)])
 
-    def test_empty_expansion_marks_terminal(self):
-        tree = make_tree()
-        assert tree.expand(tree.root, []) == []
-        assert tree.root.terminal
-
     def test_conservation_identity(self):
         # visit(v) == 1 + sum(child visits) whenever every backprop
         # originates at or below v's children.
