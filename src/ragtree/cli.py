@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -45,18 +45,7 @@ class Metrics:
     avg_tokens: float
     avg_lm_calls: float
     avg_retriever_calls: float
-    wall_time_ms_total: int
     errors: int = 0
-
-    def to_dict(self) -> dict:
-        # Wall time is excluded so metrics files are byte-stable across runs.
-        return {
-            "accuracy": self.accuracy,
-            "avg_tokens": self.avg_tokens,
-            "avg_lm_calls": self.avg_lm_calls,
-            "avg_retriever_calls": self.avg_retriever_calls,
-            "errors": self.errors,
-        }
 
 
 def load_dataset(path: str | Path) -> list[Example]:
@@ -119,23 +108,20 @@ def dump_trace(result: SearchResult, path: str | Path) -> None:
 
 def run_benchmark(
     examples: list[Example],
-    config: RunConfig,
-    backends_for: Callable[[Example], Backends],
-    config_for: Callable[[Example], RunConfig] | None = None,
+    setup: Callable[[Example], tuple[RunConfig, Backends]],
     out_dir: str | Path | None = None,
 ) -> tuple[Metrics, list[dict]]:
-    """Run the search per example (sequentially), grade, and aggregate.
-    One example's failure never aborts the batch; it is recorded with its
-    exception's class name and counted in ``Metrics.errors``."""
-    started = time.monotonic()
+    """Run the search per example (sequentially) with the config and
+    backends ``setup`` gives it, grade, and aggregate. One example's
+    failure never aborts the batch; it is recorded with its exception's
+    class name and counted in ``Metrics.errors``."""
     records = []
     correct = errors = 0
     total = BudgetReport()
     for example in examples:
         record: dict = {"id": example.id, "gold": example.gold_answer}
         try:
-            cfg = config_for(example) if config_for else config
-            result = run_search(example.question, cfg, backends_for(example))
+            result = run_search(example.question, *setup(example))
         except Exception as exc:  # per-example isolation
             errors += 1
             record.update(
@@ -156,11 +142,10 @@ def run_benchmark(
         avg_tokens=total.tokens_generated / n,
         avg_lm_calls=total.lm_calls / n,
         avg_retriever_calls=total.retriever_calls / n,
-        wall_time_ms_total=int((time.monotonic() - started) * 1000),
         errors=errors,
     )
     if out_dir is not None:
-        payload = {"metrics": metrics.to_dict(), "examples": records}
+        payload = {"metrics": asdict(metrics), "examples": records}
         (Path(out_dir) / "metrics.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -184,8 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ragtree",
         description="Retrieval-augmented tree search over a question set.",
     )
-    parser.add_argument("--dataset", help="JSONL dataset of examples")
-    parser.add_argument("--worlds", help="directory of scripted world JSON files")
+    # One flag per source; the flag given picks the source, and two sources
+    # of one kind are a usage error.
+    inputs = parser.add_mutually_exclusive_group()
+    inputs.add_argument("--dataset", help="JSONL dataset of examples")
+    inputs.add_argument("--worlds", help="directory of scripted world JSON files")
     parser.add_argument("--out-dir", required=True, help="directory for traces and metrics")
     # RunConfig flags: dest is the field name and there is no default, so a
     # flag left off parses to None and the RunConfig default applies.
@@ -211,15 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="disable parallel sibling expansion",
     )
-    parser.add_argument("--lm-endpoint", help="chat-completions base URL")
+    lm = parser.add_mutually_exclusive_group()
+    lm.add_argument("--lm-endpoint", help="chat-completions base URL")
+    lm.add_argument("--lm-scripted", help="JSON file mapping prompt keys to outputs")
     parser.add_argument("--lm-model", default="default", help="model name for --lm-endpoint")
-    parser.add_argument("--lm-scripted", help="JSON file mapping prompt keys to outputs")
-    parser.add_argument(
-        "--retriever", choices=["local", "remote", "scripted"], default="local"
-    )
-    parser.add_argument("--corpus", help="JSONL corpus for the local retriever")
-    parser.add_argument("--retriever-script", help="JSON query->documents map")
-    parser.add_argument("--search-endpoint", help="search URL for --retriever remote")
+    retriever = parser.add_mutually_exclusive_group()
+    retriever.add_argument("--corpus", help="JSONL corpus for the local inverted index")
+    retriever.add_argument("--retriever-script", help="JSON query->documents map")
+    retriever.add_argument("--search-endpoint", help="HTTP search API URL")
     return parser
 
 
@@ -244,16 +231,12 @@ def _build_lm(args) -> Backend:
 
 
 def _build_retriever(args) -> Retriever | None:
-    if args.retriever == "scripted":
-        if not args.retriever_script:
-            raise ConfigError("--retriever scripted requires --retriever-script")
-        return _load_script(args.retriever_script, ScriptedRetriever)
-    if args.retriever == "remote":
-        if not args.search_endpoint:
-            raise ConfigError("--retriever remote requires --search-endpoint")
-        return WebSearchRetriever(endpoint=args.search_endpoint)
     if args.corpus:
         return LocalIndex.from_jsonl(args.corpus)
+    if args.retriever_script:
+        return _load_script(args.retriever_script, ScriptedRetriever)
+    if args.search_endpoint:
+        return WebSearchRetriever(endpoint=args.search_endpoint)
     return None
 
 
@@ -280,23 +263,20 @@ def main(argv: list[str] | None = None) -> int:
                 Example(id=w.name, question=w.question, gold_answer=w.gold)
                 for w in worlds.values()
             ]
-            metrics, _ = run_benchmark(
-                examples,
-                config,
-                backends_for=lambda ex: worlds[ex.id].backends(),
-                config_for=lambda ex: worlds[ex.id].config(**explicit),
-                out_dir=out_dir,
-            )
+
+            def setup(ex: Example) -> tuple[RunConfig, Backends]:
+                return worlds[ex.id].config(**explicit), worlds[ex.id].backends()
         else:
             if not args.dataset:
                 raise DatasetError("one of --dataset or --worlds is required")
             examples = load_dataset(args.dataset)
-            lm = _build_lm(args)
-            retriever = _build_retriever(args)
-            backends = Backends(lm=lm, retriever=retriever)
-            metrics, _ = run_benchmark(
-                examples, config, backends_for=lambda ex: backends, out_dir=out_dir
-            )
+            backends = Backends(lm=_build_lm(args), retriever=_build_retriever(args))
+
+            def setup(ex: Example) -> tuple[RunConfig, Backends]:
+                return config, backends
+        started = time.monotonic()
+        metrics, _ = run_benchmark(examples, setup, out_dir)
+        wall_time_ms = int((time.monotonic() - started) * 1000)
     except (ConfigError, DatasetError, RetrievalError, WorldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -304,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         f"accuracy={metrics.accuracy:.4f} avg_tokens={metrics.avg_tokens:.1f} "
         f"avg_lm_calls={metrics.avg_lm_calls:.1f} "
         f"avg_retriever_calls={metrics.avg_retriever_calls:.1f} "
-        f"wall_time_ms={metrics.wall_time_ms_total}"
+        f"wall_time_ms={wall_time_ms}"
     )
     if metrics.errors:
         print(f"error: {metrics.errors} of {len(examples)} examples raised", file=sys.stderr)

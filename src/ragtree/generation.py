@@ -229,7 +229,10 @@ class HttpBackend:
                 )
                 resp.raise_for_status()
                 return self._parse(resp.json(), k)
-            except (requests.RequestException, ValueError, KeyError) as exc:
+            # A reply of the wrong shape (a list body, a null content,
+            # non-object logprob rows) fails to parse with one of the last
+            # three; it is malformed, so it is retried like an outage.
+            except (requests.RequestException, ValueError, KeyError, TypeError, AttributeError) as exc:
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(min(2.0**attempt, 8.0))

@@ -205,7 +205,10 @@ class WebSearchRetriever:
                     )
                     for i, r in enumerate(rows[:top_k])
                 ]
-            except (requests.RequestException, ValueError) as exc:
+            # A reply of the wrong shape (a list body, null results,
+            # non-object rows) fails to parse with TypeError or
+            # AttributeError; it is malformed, so it is retried like an outage.
+            except (requests.RequestException, ValueError, TypeError, AttributeError) as exc:
                 log.warning("search attempt %d failed: %s", attempt + 1, exc)
         return []
 

@@ -91,16 +91,13 @@ class SearchTree:
         return path
 
     def select_child(self, node: SearchNode, c: float) -> SearchNode:
-        """Unvisited children first (in expansion order), then UCT argmax
-        with ties broken by lowest child id."""
+        """UCT argmax with ties broken by lowest child id. Every child has a
+        visit: ``expand`` backpropagates each child it creates."""
         if not node.children:
             raise TreeError(f"node {node.id} has no children to select from")
         if node.visit_count < 1:
             raise TreeError("cannot select from an unvisited parent")
         children = [self._nodes[cid] for cid in node.children]
-        for child in children:
-            if child.visit_count == 0:
-                return child
         best = children[0]
         best_score = uct_score(best.q_value, best.visit_count, node.visit_count, c)
         for child in children[1:]:

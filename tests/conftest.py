@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import ragtree
 from ragtree.orchestrator import run_search
 from ragtree.worlds import World, build_world
 
@@ -19,6 +21,12 @@ def worlds() -> dict[str, World]:
 def run_world(world: World, **config_overrides):
     config = world.config(**config_overrides)
     return run_search(world.question, config, world.backends())
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child Python process that imports this ragtree."""
+    paths = [str(Path(ragtree.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def trace_json(trace: dict) -> str:

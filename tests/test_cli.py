@@ -1,11 +1,13 @@
 import json
+import re
+import subprocess
+import sys
 
 import pytest
 
 from ragtree.cli import (
     DatasetError,
     Example,
-    Metrics,
     build_parser,
     grade,
     load_dataset,
@@ -15,7 +17,7 @@ from ragtree.cli import (
 from ragtree.config import RunConfig
 from ragtree.orchestrator import NO_ANSWER
 
-from conftest import FIXTURES
+from conftest import FIXTURES, child_env
 
 
 class TestLoadDataset:
@@ -90,7 +92,7 @@ class TestRunBenchmark:
         # Sabotage one gold answer so exactly one example grades correct.
         examples[1] = Example(id=names[1], question=examples[1].question, gold_answer="wrong")
         metrics, records = run_benchmark(
-            examples, RunConfig(), backends_for=lambda ex: chosen[ex.id].backends()
+            examples, lambda ex: (RunConfig(), chosen[ex.id].backends())
         )
         assert metrics.accuracy == pytest.approx(0.5)
         assert [r["correct"] for r in records] == [True, False]
@@ -99,37 +101,23 @@ class TestRunBenchmark:
         examples, chosen = self.setup_worlds(worlds, ["no-retrieval-00"])
         examples.append(Example(id="broken", question="q?", gold_answer="x"))
 
-        def backends_for(ex):
+        def setup(ex):
             if ex.id == "broken":
                 raise RuntimeError("boom")
-            return chosen[ex.id].backends()
+            return RunConfig(), chosen[ex.id].backends()
 
-        metrics, records = run_benchmark(examples, RunConfig(), backends_for=backends_for)
+        metrics, records = run_benchmark(examples, setup)
         assert records[1]["error"] == "boom"
         assert metrics.accuracy == pytest.approx(0.5)
 
     def test_writes_traces_and_metrics(self, worlds, tmp_path):
         examples, chosen = self.setup_worlds(worlds, ["no-retrieval-00"])
-        run_benchmark(
-            examples,
-            RunConfig(),
-            backends_for=lambda ex: chosen[ex.id].backends(),
-            out_dir=tmp_path,
-        )
+        run_benchmark(examples, lambda ex: (RunConfig(), chosen[ex.id].backends()), tmp_path)
         trace = json.loads((tmp_path / "no-retrieval-00.trace.json").read_text())
         assert trace["final"]["answer"] == "harbor-0"
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["metrics"]["accuracy"] == 1.0
         assert "wall_time" not in json.dumps(payload)
-
-
-class TestMetricsSerialization:
-    def test_wall_time_excluded(self):
-        metrics = Metrics(
-            accuracy=1.0, avg_tokens=10.0, avg_lm_calls=2.0, avg_retriever_calls=0.5,
-            wall_time_ms_total=123,
-        )
-        assert "wall_time_ms_total" not in metrics.to_dict()
 
 
 class TestParser:
@@ -141,9 +129,12 @@ class TestParser:
             "--dataset", "--worlds", "--out-dir", "--rollouts", "--max-depth",
             "--k-completions", "--c-uct", "--top-k", "--tau-prune",
             "--disable-actions", "--seed", "--sequential", "--lm-endpoint",
-            "--lm-scripted", "--retriever", "--corpus", "--search-endpoint",
+            "--lm-model", "--lm-scripted", "--corpus", "--retriever-script",
+            "--search-endpoint",
         ):
             assert flag in text
+        # The source flags pick the retriever; there is no selector flag.
+        assert not re.search(r"--retriever(?!-script)", text)
 
     def test_disable_actions_rejects_a6(self):
         with pytest.raises(SystemExit):
@@ -307,24 +298,36 @@ class TestMainDatasetMode:
         assert [r["error_kind"] for r in payload["examples"]] == ["UnknownPromptError"] * 2
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "flags, messages",
         [
-            ([], "--lm-scripted or --lm-endpoint"),
-            (["--lm-scripted", "{script}", "--retriever", "scripted"], "--retriever-script"),
-            (["--lm-scripted", "{script}", "--retriever", "remote"], "--search-endpoint"),
+            ([], ["--lm-scripted or --lm-endpoint"]),
+            (
+                ["--lm-scripted", "{script}", "--lm-endpoint", "http://lm.test/v1"],
+                ["--lm-scripted", "--lm-endpoint"],
+            ),
+            (
+                ["--lm-scripted", "{script}", "--retriever-script", "{script}",
+                 "--search-endpoint", "http://search.test"],
+                ["--retriever-script", "--search-endpoint"],
+            ),
         ],
     )
-    def test_missing_backend_inputs_exit_2(self, tmp_path, capsys, flags, message):
+    def test_missing_backend_inputs_exit_2(self, tmp_path, capsys, flags, messages):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
         script_path = tmp_path / "script.json"
         script_path.write_text("{}", encoding="utf-8")
         flags = [f.format(script=script_path) for f in flags]
         argv = ["--dataset", str(dataset), "--out-dir", str(tmp_path / "out"), *flags]
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects two sources of one kind
+            code = exc.code
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert message in err
+        assert "error: " in err
+        for message in messages:
+            assert message in err
 
     @pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"k": 3}'])
     @pytest.mark.parametrize("flag", ["--lm-scripted", "--retriever-script"])
@@ -338,10 +341,60 @@ class TestMainDatasetMode:
         argv = [
             "--dataset", str(dataset),
             "--out-dir", str(tmp_path / "out"),
-            "--retriever", "scripted",
             "--lm-scripted", str(good),
             "--retriever-script", str(good),
         ]
         argv[argv.index(flag) + 1] = str(bad)
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def run_cli(*argv):
+    """Run ``python -m ragtree`` in a child process on this checkout."""
+    return subprocess.run(
+        [sys.executable, "-m", "ragtree", *map(str, argv)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+
+
+class TestCliProcess:
+    def test_retriever_script_alone_selects_the_scripted_retriever(self, tmp_path, worlds):
+        # The gated question is answerable only through retrieval, so a
+        # dropped retriever shows as accuracy 0 and no retriever call.
+        world = worlds["retrieval-gated-00"]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "g0", "question": world.question, "gold_answer": world.gold})
+            + "\n",
+            encoding="utf-8",
+        )
+        lm = tmp_path / "lm.json"
+        lm.write_text(json.dumps(world.to_dict()["lm_script"]), encoding="utf-8")
+        docs = tmp_path / "map.json"
+        docs.write_text(json.dumps(world.to_dict()["retriever_script"]), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        proc = run_cli(
+            "--dataset", dataset, "--out-dir", out_dir,
+            "--lm-scripted", lm, "--retriever-script", docs,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "accuracy=1.0000" in proc.stdout
+        metrics = json.loads((out_dir / "metrics.json").read_text())["metrics"]
+        assert metrics["accuracy"] == 1.0
+        assert metrics["avg_retriever_calls"] == 2.0
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("--dataset", "--worlds"),
+            ("--lm-scripted", "--lm-endpoint"),
+            ("--corpus", "--retriever-script"),
+            ("--corpus", "--search-endpoint"),
+            ("--retriever-script", "--search-endpoint"),
+        ],
+    )
+    def test_two_sources_of_one_kind_exit_2_naming_both(self, tmp_path, first, second):
+        proc = run_cli("--out-dir", tmp_path, first, "a", second, "b")
+        assert proc.returncode == 2
+        assert f"argument {second}: not allowed with argument {first}" in proc.stderr
+        assert not any(tmp_path.iterdir())

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -7,15 +6,14 @@ import threading
 import time
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ragtree
 from ragtree.actions import ActionKind, ReasoningState, render_prompt
 from ragtree.cli import dump_trace
+from ragtree.config import RunConfig
 from ragtree.generation import (
     BackendUnreachableError,
     Completion,
@@ -30,7 +28,9 @@ from ragtree.generation import (
     prompt_key,
     sample_completions,
 )
-from ragtree.orchestrator import Backends, run_search
+from ragtree.orchestrator import Backends, PartialResultError, run_search, validate_trace
+
+from conftest import child_env
 
 
 def reference_extract(text: str) -> str | None:
@@ -197,11 +197,9 @@ class _StubSession:
 
 def test_importing_ragtree_does_not_import_requests():
     # requests is loaded only when an HTTP client is constructed.
-    paths = [str(Path(ragtree.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-c", "import sys, ragtree; print('requests' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=child_env(), check=True,
     )
     assert out.stdout.strip() == "False"
 
@@ -255,6 +253,34 @@ class TestHttpBackend:
         out = backend.sample("q", 4, seed=0)
         assert len(out.completions) == 4
         assert all(c.answer == "7" for c in out.completions)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": "x"}, "logprobs": {"content": [-0.5]}}]},
+        ],
+        ids=["list-body", "null-content", "non-object-logprob-rows"],
+    )
+    def test_wrongly_typed_reply_is_retried_then_unreachable(self, monkeypatch, body):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        session = _StubSession([_StubResponse(body)] * 3)
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        with pytest.raises(BackendUnreachableError, match="after 3 attempts"):
+            backend.sample("q", 1, seed=0)
+        assert len(session.calls) == 3
+
+    def test_list_body_ends_the_search_with_a_valid_partial_trace(self, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        session = _StubSession([_StubResponse([])] * 3)
+        lm = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        # Sequential, so the stub session answers one call at a time.
+        config = RunConfig(rollouts=1, parallel_expansion=False)
+        with pytest.raises(PartialResultError) as err:
+            run_search("q?", config, Backends(lm=lm, retriever=None))
+        validate_trace(err.value.trace)
+        assert len(session.calls) == 3
 
     def test_recovers_after_transient_error(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)

@@ -216,6 +216,17 @@ class TestWebSearchRetriever:
         assert retriever.search("q", top_k=3) == []
         assert session.calls == 3
 
+    @pytest.mark.parametrize(
+        "body",
+        [[{"id": "w1", "text": "fact"}], {"results": ["fact"]}, {"results": None}],
+        ids=["list-body", "non-object-rows", "null-results"],
+    )
+    def test_wrongly_typed_reply_degrades_to_empty_after_retries(self, body):
+        session = _StubSession([_StubResponse(body)] * 3)
+        retriever = WebSearchRetriever("http://search.test", session=session, max_retries=3)
+        assert retriever.search("q", top_k=3) == []
+        assert session.calls == 3
+
 
 class TestRetrievalRecord:
     def test_summary_iff_admit(self):

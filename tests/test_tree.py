@@ -57,17 +57,15 @@ class TestUctScore:
 class TestSelectChild:
     def expanded(self, stats, parent_visits):
         tree = make_tree()
-        tree.expand(tree.root, [realized(a) for a, _ in zip(ActionKind, stats)])
+        children = tree.expand(tree.root, [realized(a) for a, _ in zip(ActionKind, stats)])
+        # select_child relies on this: no child is ever unvisited.
+        assert all(c.visit_count == 1 for c in children)
         tree.root.visit_count = parent_visits
         tree.root.q_value = 0.0
         for child_id, (q, n) in zip(tree.root.children, stats):
             child = tree.node(child_id)
             child.q_value, child.visit_count = q, n
         return tree
-
-    def test_unvisited_first(self):
-        tree = self.expanded([(0.0, 0), (5.0, 5)], parent_visits=6)
-        assert tree.select_child(tree.root, 1.4).id == 1
 
     def test_uct_argmax(self):
         tree = self.expanded([(2.0, 2), (1.0, 1)], parent_visits=8)
