@@ -60,12 +60,19 @@ def load_dataset(path: str | Path) -> list[Example]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise DatasetError(f"{path}:{lineno}: expected a JSON object")
             for field in ("question", "gold_answer"):
                 if not row.get(field):
                     raise DatasetError(f"{path}:{lineno}: missing or empty '{field}'")
-            choices = tuple(
-                (str(label), str(text)) for label, text in row.get("choices", [])
-            )
+            try:
+                choices = tuple(
+                    (str(label), str(text)) for label, text in row.get("choices", [])
+                )
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(
+                    f"{path}:{lineno}: 'choices' must be [label, text] pairs: {exc}"
+                ) from exc
             examples.append(
                 Example(
                     id=str(row.get("id", lineno)),
@@ -240,10 +247,21 @@ def _build_retriever(args) -> Retriever | None:
     return None
 
 
+_SOURCE_FLAGS = (
+    "--lm-endpoint", "--lm-scripted", "--corpus", "--retriever-script", "--search-endpoint",
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Exit 0 when every example ran, 2 on a config or input error, 3 when
     any example raised."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.worlds:
+        # Each world carries its own LM and retriever scripts.
+        for flag in _SOURCE_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                parser.error(f"argument {flag}: not allowed with argument --worlds")
     # Flags given on the command line, in any spelling; they beat world overrides.
     explicit = {
         f.name: getattr(args, f.name)

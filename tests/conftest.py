@@ -14,7 +14,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "worlds"
 @pytest.fixture(scope="session")
 def worlds() -> dict[str, World]:
     paths = sorted(FIXTURES.glob("*.json"))
-    assert paths, f"no world fixtures under {FIXTURES}; run python -m ragtree.worlds"
+    assert paths, f"no world fixtures under {FIXTURES}; run tests/shipped_worlds.py"
     return {p.stem: build_world(p) for p in paths}
 
 

@@ -207,6 +207,29 @@ class TestMainWorldsMode:
         assert main(["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out")]) == 2
         assert "missing field 'question'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, content, where",
+        [
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": "AB"}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": 5}\n', ":1: "),
+            ("--dataset", "[1, 2]\n", ":1: "),
+            ("--worlds", json.dumps({
+                "name": "w", "question": "Q?", "gold": "a",
+                "lm_script": {"0123456789abcdef": [["t"]]}, "retriever_script": {},
+            }), ": malformed 'lm_script': "),
+        ],
+        ids=["dataset-choices-string", "dataset-choices-number", "dataset-row-list",
+             "world-lm-entry-short"],
+    )
+    def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        path = inputs / "bad.json"
+        path.write_text(content, encoding="utf-8")
+        source = path if flag == "--dataset" else inputs
+        assert main([flag, str(source), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}{where}")
+
 
 class TestMainDatasetMode:
     def test_scripted_lm_with_local_corpus(self, tmp_path, worlds, capsys):
@@ -391,6 +414,12 @@ class TestCliProcess:
             ("--corpus", "--retriever-script"),
             ("--corpus", "--search-endpoint"),
             ("--retriever-script", "--search-endpoint"),
+            # A world carries its own LM and retriever scripts.
+            ("--worlds", "--lm-endpoint"),
+            ("--worlds", "--lm-scripted"),
+            ("--worlds", "--corpus"),
+            ("--worlds", "--retriever-script"),
+            ("--worlds", "--search-endpoint"),
         ],
     )
     def test_two_sources_of_one_kind_exit_2_naming_both(self, tmp_path, first, second):

@@ -4,6 +4,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragtree.actions import ACTION_ORDER, ReasoningState
 from ragtree.aggregation import AggregationError
@@ -28,7 +30,7 @@ from ragtree.orchestrator import (
 from ragtree.retrieval import ScriptedRetriever
 from ragtree.tree import SearchTree
 
-from conftest import FIXTURES, run_world
+from conftest import FIXTURES, run_world, trace_json
 
 
 class TestDeriveSeed:
@@ -248,6 +250,58 @@ class TestGateOverlap:
         assert dumped[True] == dumped[False]
         assert len(started_threads) > 0
         assert not any(t.is_alive() for t in started_threads)
+
+
+class _SeedLog:
+    """Passes calls through and notes each call's seed."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.seeds: list[int] = []
+
+    def sample(self, prompt, k, seed, tag=""):
+        self.seeds.append(seed)
+        return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+class _SeedOutage:
+    """Raises on the call made with one seed. Seeds are unique per (node,
+    action, purpose), so the seed names one call in either expansion mode."""
+
+    def __init__(self, inner, seed: int):
+        self._inner = inner
+        self._seed = seed
+
+    def sample(self, prompt, k, seed, tag=""):
+        if seed == self._seed:
+            raise BackendUnreachableError(f"simulated outage at seed {seed}")
+        return self._inner.sample(prompt, k, seed, tag=tag)
+
+
+class TestOutageProperty:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_failed_call_ends_in_one_valid_partial_trace(self, worlds, data):
+        world = worlds[data.draw(st.sampled_from(sorted(worlds)), label="world")]
+        rollouts = data.draw(st.integers(1, 16), label="rollouts")
+        backends = world.backends()
+        log = _SeedLog(backends.lm)
+        clean = world.config(rollouts=rollouts, parallel_expansion=False)
+        run_search(world.question, clean, Backends(log, backends.retriever))
+        seed = data.draw(st.sampled_from(sorted(set(log.seeds))), label="seed")
+        dumped = {}
+        for parallel in (False, True):
+            backends = world.backends()
+            lm = _SeedOutage(backends.lm, seed)
+            config = world.config(rollouts=rollouts, parallel_expansion=parallel)
+            with pytest.raises(PartialResultError) as err:
+                run_search(world.question, config, Backends(lm, backends.retriever))
+            trace = err.value.trace
+            validate_trace(trace)
+            assert conserved(trace)
+            assert trace["config"].pop("parallel_expansion") is parallel
+            dumped[parallel] = trace_json(trace)
+        assert dumped[True] == dumped[False]
 
 
 class _ThreadRecordingBackend:

@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
-from ragtree.generation import prompt_key
-from ragtree.worlds import WorldError, build_world, materialize, shipped_worlds
+from ragtree.worlds import WorldError, build_world
 
 from conftest import FIXTURES, run_world
+from shipped_worlds import generate_fixtures
 
 
 class TestFixtureFiles:
@@ -25,13 +26,11 @@ class TestFixtureFiles:
                 assert len(key) == 16
                 assert int(key, 16) >= 0
 
-    def test_regeneration_matches_shipped_files(self):
-        for rule_world in shipped_worlds():
-            regenerated = materialize(rule_world).to_dict()
-            shipped = json.loads(
-                (FIXTURES / f"{rule_world.name}.json").read_text(encoding="utf-8")
-            )
-            assert regenerated == shipped, rule_world.name
+    def test_regeneration_matches_shipped_files(self, tmp_path):
+        written = generate_fixtures(tmp_path)
+        assert sorted(p.name for p in written) == sorted(p.name for p in FIXTURES.glob("*.json"))
+        for path in written:
+            assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
 
     def test_build_world_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -39,10 +38,36 @@ class TestFixtureFiles:
         with pytest.raises(WorldError, match="question"):
             build_world(path)
 
-    def test_build_world_rejects_bad_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "invalid JSON"), ("[]", "expected a JSON object")],
+        ids=["truncated", "array"],
+    )
+    def test_build_world_rejects_bad_json(self, tmp_path, text, message):
         path = tmp_path / "bad.json"
-        path.write_text("{", encoding="utf-8")
-        with pytest.raises(WorldError, match="invalid JSON"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(WorldError, match=message):
+            build_world(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lm_script", {"0123456789abcdef": [["t"]]}),
+            ("lm_script", {"0123456789abcdef": [["t", "likely"]]}),
+            ("lm_script", ["t", -0.1]),
+            ("retriever_script", {"query": [["doc-1"]]}),
+            ("config_overrides", {"rollouts": 0}),
+            ("config_overrides", {"no_such_setting": 1}),
+        ],
+        ids=["lm-entry-short", "lm-loglik-text", "lm-list", "retriever-entry-short",
+             "config-invalid", "config-unknown"],
+    )
+    def test_build_world_names_malformed_field(self, tmp_path, field, value):
+        data = {"name": "w", "question": "Q?", "gold": "a", "lm_script": {},
+                "retriever_script": {}, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(WorldError, match=rf"^{re.escape(str(path))}: malformed '{field}': "):
             build_world(path)
 
 
