@@ -204,12 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="parallel_expansion",
         action="store_false",
         default=None,
-        help="disable parallel sibling expansion",
+        help="evaluate sibling actions one at a time; otherwise they run on a "
+        "thread pool when the LM or retriever may wait on I/O",
     )
     lm = parser.add_mutually_exclusive_group()
     lm.add_argument("--lm-endpoint", help="chat-completions base URL")
     lm.add_argument("--lm-scripted", help="JSON file mapping prompt keys to outputs")
-    parser.add_argument("--lm-model", default="default", help="model name for --lm-endpoint")
+    parser.add_argument("--lm-model", help="model name for --lm-endpoint (default: default)")
     retriever = parser.add_mutually_exclusive_group()
     retriever.add_argument("--corpus", help="JSONL corpus for the local inverted index")
     retriever.add_argument("--retriever-script", help="JSON query->documents map")
@@ -233,7 +234,8 @@ def _build_lm(args) -> Backend:
     if args.lm_scripted:
         return _load_script(args.lm_scripted, ScriptedBackend)
     if args.lm_endpoint:
-        return HttpBackend(base_url=args.lm_endpoint, model=args.lm_model)
+        model = args.lm_model if args.lm_model is not None else "default"
+        return HttpBackend(base_url=args.lm_endpoint, model=model)
     raise ConfigError("one of --lm-scripted or --lm-endpoint is required")
 
 
@@ -262,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
         for flag in _SOURCE_FLAGS:
             if getattr(args, flag[2:].replace("-", "_")) is not None:
                 parser.error(f"argument {flag}: not allowed with argument --worlds")
+    if args.lm_model is not None:
+        # Only --lm-endpoint reads a model name.
+        for flag, value in (("--worlds", args.worlds), ("--lm-scripted", args.lm_scripted)):
+            if value is not None:
+                parser.error(f"argument --lm-model: not allowed with argument {flag}")
     # Flags given on the command line, in any spelling; they beat world overrides.
     explicit = {
         f.name: getattr(args, f.name)

@@ -11,6 +11,13 @@ In parallel mode the retrieval-necessity gate call runs on the search
 thread while the siblings it does not gate (all but A4 and A5) already run
 on the search's pool, which has at most one worker per action (six). Only
 the search thread touches the tree.
+
+The pool starts only when a backend may wait. A search whose LM is a
+``ScriptedBackend`` and whose retriever is ``None``, a ``ScriptedRetriever``
+or a ``LocalIndex`` answers in-process under the interpreter lock, where a
+pool overlaps nothing and adds thread hand-offs, so it runs its siblings
+inline even in parallel mode. Any other backend (``HttpBackend``,
+``WebSearchRetriever``, any wrapper) gets the pool.
 """
 from __future__ import annotations
 
@@ -31,10 +38,12 @@ from .actions import (
 )
 from .aggregation import extract_trajectories, group_answers, score_answers, select_best
 from .config import BudgetReport, RunConfig
-from .generation import Backend, BackendUnreachableError, sample_completions
+from .generation import Backend, BackendUnreachableError, ScriptedBackend, sample_completions
 from .retrieval import (
+    LocalIndex,
     RetrievalRecord,
     Retriever,
+    ScriptedRetriever,
     consistency_prune,
     execute_query,
     generate_query,
@@ -300,7 +309,13 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
     tree = SearchTree(ReasoningState(question=question), max_depth=config.max_depth)
     events: list[dict] = []
     # One pool per search; it starts threads on demand, at most one per action.
-    pool = ThreadPoolExecutor(max_workers=len(ACTION_ORDER)) if config.parallel_expansion else None
+    # In-process backends never wait, so a pool would only add hand-offs.
+    in_process = isinstance(backends.lm, ScriptedBackend) and isinstance(
+        backends.retriever, (type(None), ScriptedRetriever, LocalIndex)
+    )
+    pool = None
+    if config.parallel_expansion and not in_process:
+        pool = ThreadPoolExecutor(max_workers=len(ACTION_ORDER))
     try:
         for i in range(config.rollouts):
             events.append(rollout(tree, config, backends, budget, i, pool))

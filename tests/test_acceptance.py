@@ -3,6 +3,7 @@ tolerance. Every test prints a single PASS line on success (visible with
 ``pytest -s`` or in captured output on failure)."""
 import json
 import random
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from ragtree.orchestrator import run_search, validate_trace
 from ragtree.reward import cluster_completions, compute_reward
 from ragtree.tree import uct_score
 
-from conftest import run_world
+from conftest import pooled, run_world
 
 
 def _done(line: str) -> None:
@@ -224,8 +225,11 @@ def test_criterion_parallel_sequential_equivalence(worlds):
     records the mode flag, so it is compared separately."""
     for name, world in worlds.items():
         for seed in (0, 7, 123):
-            par = run_world(world, seed=seed, parallel_expansion=True).trace
+            backends = pooled(world.backends())
+            par = run_world(world, backends, seed=seed, parallel_expansion=True).trace
             seq = run_world(world, seed=seed, parallel_expansion=False).trace
+            # The pass-through LM keeps the pool: siblings ran off this thread.
+            assert backends.lm.threads - {threading.get_ident()}, (name, seed)
             assert par["config"]["parallel_expansion"] is True
             assert seq["config"]["parallel_expansion"] is False
             par_rest = {k: v for k, v in par.items() if k != "config"}

@@ -8,6 +8,7 @@ import pytest
 from ragtree.cli import (
     DatasetError,
     Example,
+    _build_lm,
     build_parser,
     grade,
     load_dataset,
@@ -135,6 +136,13 @@ class TestParser:
             assert flag in text
         # The source flags pick the retriever; there is no selector flag.
         assert not re.search(r"--retriever(?!-script)", text)
+
+    def test_lm_model_names_the_endpoint_model(self):
+        for extra, model in (([], "default"), (["--lm-model", "m"], "m")):
+            argv = ["--out-dir", "x", "--lm-endpoint", "http://lm.test/v1", *extra]
+            lm = _build_lm(build_parser().parse_args(argv))
+            lm._session.close()
+            assert lm.model == model
 
     def test_disable_actions_rejects_a6(self):
         with pytest.raises(SystemExit):
@@ -420,6 +428,9 @@ class TestCliProcess:
             ("--worlds", "--corpus"),
             ("--worlds", "--retriever-script"),
             ("--worlds", "--search-endpoint"),
+            # Only --lm-endpoint reads a model name.
+            ("--worlds", "--lm-model"),
+            ("--lm-scripted", "--lm-model"),
         ],
     )
     def test_two_sources_of_one_kind_exit_2_naming_both(self, tmp_path, first, second):

@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 from decimal import Decimal
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -288,74 +287,6 @@ class TestHttpBackend:
         backend = HttpBackend("http://lm.test/v1", model="m", session=session)
         out = backend.sample("q", 2, seed=0)
         assert out.completions[0].answer == "7"
-
-
-class _ChatHandler(BaseHTTPRequestHandler):
-    """Answers /chat/completions from the server's scripted backend."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):
-        if self.path != "/chat/completions":
-            self.send_error(404)
-            return
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        prompt = body["messages"][0]["content"]
-        outcome = self.server.lm.sample(prompt, body["n"], body["seed"])
-        choices = [
-            {
-                "message": {"role": "assistant", "content": c.text},
-                "logprobs": {"content": [{"token": c.text, "logprob": c.log_likelihood}]},
-            }
-            for c in outcome.completions
-        ]
-        with self.server.lock:
-            self.server.posts += 1
-            if self.server.short_replies:
-                self.server.short_replies -= 1
-                choices.pop()
-        data = json.dumps(
-            {"choices": choices, "usage": {"completion_tokens": outcome.tokens_consumed}}
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format, *args):
-        pass
-
-
-class _ChatServer(ThreadingHTTPServer):
-    """A local chat-completions endpoint backed by a ScriptedBackend. Its
-    first ``short_replies`` replies carry one choice fewer than asked."""
-
-    def __init__(self, lm: ScriptedBackend):
-        super().__init__(("127.0.0.1", 0), _ChatHandler)
-        self.lm = lm
-        self.lock = threading.Lock()
-        self.posts = 0
-        self.short_replies = 0
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-@pytest.fixture
-def chat_server(worlds):
-    server = _ChatServer(worlds["no-retrieval-00"].backends().lm)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
-    assert not thread.is_alive()
 
 
 class TestHttpBackendLocalServer:

@@ -8,6 +8,7 @@ tests/test_golden_traces.py`` and says why in CHANGES.md.
 import hashlib
 import json
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from ragtree.cli import dump_trace
 from ragtree.generation import prompt_key
 from ragtree.orchestrator import Backends, run_search
 from ragtree.worlds import build_world
+
+from conftest import pooled
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_trace_digests.json"
@@ -29,11 +32,15 @@ def trace_digests(out_dir: Path) -> dict[str, str]:
         for rollouts in ROLLOUTS:
             for parallel in (True, False):
                 config = world.config(rollouts=rollouts, parallel_expansion=parallel)
-                result = run_search(world.question, config, world.backends())
+                backends = pooled(world.backends())
+                result = run_search(world.question, config, backends)
                 mode = "parallel" if parallel else "sequential"
                 trace_path = out_dir / f"{world.name}-r{rollouts}-{mode}.json"
                 dump_trace(result, trace_path)
                 key = f"{world.name}/r{rollouts}/{mode}"
+                # The pass-through LM keeps the pool in parallel mode only.
+                off_thread = backends.lm.threads - {threading.get_ident()}
+                assert bool(off_thread) is parallel, key
                 digests[key] = hashlib.sha256(trace_path.read_bytes()).hexdigest()
     return digests
 

@@ -2,6 +2,7 @@ import json
 import re
 import threading
 import time
+from dataclasses import replace as dc_replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ragtree.generation import (
     BackendUnreachableError,
     Completion,
     GenerationOutcome,
+    HttpBackend,
     ScriptedBackend,
     extract_answer,
 )
@@ -27,10 +29,11 @@ from ragtree.orchestrator import (
     run_search,
     validate_trace,
 )
-from ragtree.retrieval import ScriptedRetriever
+from ragtree.retrieval import LocalIndex, ScriptedRetriever
 from ragtree.tree import SearchTree
+from ragtree.worlds import RecordingBackend, World
 
-from conftest import FIXTURES, run_world, trace_json
+from conftest import FIXTURES, pooled, run_world, trace_json
 
 
 class TestDeriveSeed:
@@ -124,25 +127,45 @@ class _FlakyBackend:
         return self._inner.sample(prompt, k, seed, tag=tag)
 
 
-@pytest.fixture
-def started_threads(monkeypatch):
-    """Every thread started while the test runs, in start order."""
-    started = []
-    start = threading.Thread.start
+def _shipped_world(worlds, request):
+    world = worlds["retrieval-gated-00"]
+    return world.question, world.config(rollouts=16), world.backends()
 
-    def recording_start(thread):
-        started.append(thread)
-        start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    return started
+def _recording_lm_and_local_index(worlds, request):
+    replies = {
+        "necessity": "Yes.",
+        "query": "The query is: capital of France",
+        "reflect": "Evaluation: relevant.",
+        "summarize": "Paris is the capital of France.",
+    }
+    lm = RecordingBackend(lambda tag, prompt: [(replies.get(tag, "The answer is: Paris."), -1.0)])
+    index = LocalIndex([("d1", "Paris is the capital of France."), ("d2", "Rome is in Italy.")])
+    return "What is the capital of France?", RunConfig(rollouts=16), Backends(lm, index)
+
+
+def _pass_through_lm(worlds, request):
+    question, config, backends = _shipped_world(worlds, request)
+    return question, config, pooled(backends)
+
+
+def _http_lm(worlds, request):
+    import requests
+
+    server = request.getfixturevalue("chat_server")
+    session = requests.Session()
+    request.addfinalizer(session.close)
+    world = worlds["no-retrieval-00"]
+    lm = HttpBackend(server.url, model="scripted", session=session)
+    return world.question, world.config(rollouts=16), Backends(lm, world.backends().retriever)
 
 
 class TestExpansionPool:
     def test_one_pool_per_search_with_at_most_one_worker_per_action(
         self, worlds, started_threads
     ):
-        result = run_world(worlds["retrieval-gated-00"], rollouts=16)
+        world = worlds["retrieval-gated-00"]
+        result = run_world(world, pooled(world.backends()), rollouts=16)
         expanded = sum(e["expanded"] for e in result.trace["rollouts"])
         assert expanded > 1  # several parallel expansions share the pool
         assert 1 < len(started_threads) <= len(ACTION_ORDER)
@@ -160,7 +183,34 @@ class TestExpansionPool:
         validate_trace(err.value.trace)
         assert not any(t.is_alive() for t in started_threads)
 
-    def test_sequential_starts_no_thread(self, tmp_path, started_threads):
+    @pytest.mark.parametrize(
+        "parallel, setup, fewest",
+        [
+            (True, _shipped_world, 0),
+            (True, _recording_lm_and_local_index, 0),
+            (True, _pass_through_lm, 1),
+            (True, _http_lm, 1),
+            (False, _pass_through_lm, 0),
+        ],
+        ids=["shipped-world", "recording-lm-local-index", "pass-through-lm", "http-lm", "sequential"],
+    )
+    def test_pool_starts_only_when_a_backend_may_wait(
+        self, worlds, started_threads, request, parallel, setup, fewest
+    ):
+        question, config, backends = setup(worlds, request)
+        config = dc_replace(config, parallel_expansion=parallel)
+        run_search(question, config, backends)
+        # Leaves out the chat server's own threads.
+        pool = [t for t in started_threads if t.name.startswith("ThreadPoolExecutor")]
+        most = len(ACTION_ORDER) if fewest else 0
+        assert fewest <= len(pool) <= most
+        assert not any(t.is_alive() for t in pool)
+
+    def test_sequential_starts_no_thread(self, tmp_path, monkeypatch, started_threads):
+        # Behind a pass-through LM the world's searches would use the pool,
+        # so only --sequential keeps them on the search thread.
+        backends = World.backends
+        monkeypatch.setattr(World, "backends", lambda world: pooled(backends(world)))
         worlds_dir = tmp_path / "worlds"
         worlds_dir.mkdir()
         name = "retrieval-gated-00.json"
@@ -168,6 +218,8 @@ class TestExpansionPool:
         argv = ["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out"), "--sequential"]
         assert main(argv) == 0
         assert started_threads == []
+        assert main(argv[:-1]) == 0
+        assert started_threads
 
 
 class _GateWaitsForSibling:
@@ -304,25 +356,13 @@ class TestOutageProperty:
         assert dumped[True] == dumped[False]
 
 
-class _ThreadRecordingBackend:
-    """Passes calls through and notes the thread each one ran on."""
-
-    def __init__(self, inner, threads: list[int]):
-        self._inner = inner
-        self._threads = threads
-
-    def sample(self, prompt, k, seed, tag=""):
-        self._threads.append(threading.get_ident())
-        return self._inner.sample(prompt, k, seed, tag=tag)
-
-
 class TestSingleWriter:
     def test_tree_methods_run_only_on_the_search_thread(self, worlds, monkeypatch):
         # Pool workers get an immutable ReasoningState and never touch the
         # tree, which is why SearchTree needs no lock.
         search_thread = threading.get_ident()
         called: set[str] = set()
-        lm_threads: list[int] = []
+        lm_threads: set[int] = set()
 
         def on_caller_thread(name, fn):
             # Fails at the first stray call, before it can perturb the search.
@@ -340,13 +380,10 @@ class TestSingleWriter:
                 monkeypatch.setattr(SearchTree, name, on_caller_thread(name, attr))
 
         for world in worlds.values():
-            backends = world.backends()
-            recording = Backends(
-                lm=_ThreadRecordingBackend(backends.lm, lm_threads),
-                retriever=backends.retriever,
-            )
+            backends = pooled(world.backends())
             config = world.config(rollouts=16, parallel_expansion=True)
-            run_search(world.question, config, recording)
+            run_search(world.question, config, backends)
+            lm_threads |= backends.lm.threads
 
         assert {"__init__", "select_child", "backpropagate", "expand"} <= called
         # Not vacuous: the searches did hand backend calls to pool workers.
