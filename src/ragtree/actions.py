@@ -202,7 +202,7 @@ def apply_action(
     knowledge = state.knowledge
     if action in RETRIEVAL_ACTIONS and retrieval is not None and retrieval.summary:
         knowledge = knowledge + (
-            KnowledgeItem(text=retrieval.summary, sufficient=retrieval.sufficient),
+            KnowledgeItem(text=retrieval.summary, sufficient=retrieval.verdict.sufficient),
         )
     subq = state.subquestion_count + (1 if action in DECOMPOSE_ACTIONS else 0)
     answered = state.answered

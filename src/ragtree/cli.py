@@ -116,12 +116,22 @@ def dump_trace(result: SearchResult, path: str | Path) -> None:
 def run_benchmark(
     examples: list[Example],
     setup: Callable[[Example], tuple[RunConfig, Backends]],
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> tuple[Metrics, list[dict]]:
     """Run the search per example (sequentially) with the config and
-    backends ``setup`` gives it, grade, and aggregate. One example's
-    failure never aborts the batch; it is recorded with its exception's
-    class name and counted in ``Metrics.errors``."""
+    backends ``setup`` gives it, grade, and aggregate, writing each trace
+    and ``metrics.json`` under ``out_dir``. One example's failure never
+    aborts the batch; it is recorded with its exception's class name and
+    counted in ``Metrics.errors``. Ids name the trace files, so an id that
+    is repeated or is not a plain file name raises ``DatasetError`` before
+    any example runs."""
+    seen: set[str] = set()
+    for example in examples:
+        if example.id in ("", ".", "..") or any(c in example.id for c in "/\\\0"):
+            raise DatasetError(f"example id {example.id!r} is not a plain file name")
+        if example.id in seen:
+            raise DatasetError(f"duplicate example id {example.id!r}")
+        seen.add(example.id)
     records = []
     correct = errors = 0
     total = BudgetReport()
@@ -141,8 +151,7 @@ def run_benchmark(
         total.merge(result.budget)
         record.update({"prediction": result.answer, "correct": ok})
         records.append(record)
-        if out_dir is not None:
-            dump_trace(result, Path(out_dir) / f"{example.id}.trace.json")
+        dump_trace(result, Path(out_dir) / f"{example.id}.trace.json")
     n = len(examples)
     metrics = Metrics(
         accuracy=correct / n,
@@ -151,11 +160,10 @@ def run_benchmark(
         avg_retriever_calls=total.retriever_calls / n,
         errors=errors,
     )
-    if out_dir is not None:
-        payload = {"metrics": asdict(metrics), "examples": records}
-        (Path(out_dir) / "metrics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    payload = {"metrics": asdict(metrics), "examples": records}
+    (Path(out_dir) / "metrics.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     return metrics, records
 
 
@@ -283,10 +291,12 @@ def main(argv: list[str] | None = None) -> int:
             world_paths = sorted(Path(args.worlds).glob("*.json"))
             if not world_paths:
                 raise DatasetError(f"no world files under {args.worlds}")
-            worlds = {p.stem: build_world(p) for p in world_paths}
+            loaded = [build_world(p) for p in world_paths]
+            # Keyed by name, the example id; two files of one name fail
+            # run_benchmark's duplicate-id check.
+            worlds = {w.name: w for w in loaded}
             examples = [
-                Example(id=w.name, question=w.question, gold_answer=w.gold)
-                for w in worlds.values()
+                Example(id=w.name, question=w.question, gold_answer=w.gold) for w in loaded
             ]
 
             def setup(ex: Example) -> tuple[RunConfig, Backends]:

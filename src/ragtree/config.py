@@ -1,6 +1,7 @@
 """Run configuration and budget accounting."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .actions import ActionKind
@@ -32,8 +33,8 @@ class RunConfig:
             raise ConfigError("max_subquestions must be >= 0")
         if self.k_completions < 1:
             raise ConfigError("k_completions must be >= 1")
-        if self.c_uct < 0:
-            raise ConfigError("c_uct must be >= 0")
+        if not (math.isfinite(self.c_uct) and self.c_uct >= 0):
+            raise ConfigError("c_uct must be finite and >= 0")
         if self.top_k_docs < 1:
             raise ConfigError("top_k_docs must be >= 1")
         if not 0.0 <= self.tau_prune <= 1.0:
@@ -83,10 +84,3 @@ class BudgetReport:
         self.tokens_generated += other.tokens_generated
         self.lm_calls += other.lm_calls
         self.retriever_calls += other.retriever_calls
-
-    def to_dict(self) -> dict:
-        return {
-            "lm_calls": self.lm_calls,
-            "retriever_calls": self.retriever_calls,
-            "tokens_generated": self.tokens_generated,
-        }

@@ -164,7 +164,10 @@ class ScriptedBackend:
 
     def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
         key = prompt_key(prompt)
-        outputs = self._lookup(key, prompt, tag)
+        try:
+            outputs = self._script[key]
+        except KeyError:
+            raise UnknownPromptError(key, prompt, tag) from None
         chosen = [outputs[i % len(outputs)] for i in range(k)]
         completions = tuple(
             Completion(text=t, answer=extract_answer(t), log_likelihood=ll) for t, ll in chosen
@@ -172,11 +175,9 @@ class ScriptedBackend:
         tokens = sum(count_tokens(t) for t, _ in chosen)
         return GenerationOutcome(completions=completions, tokens_consumed=tokens)
 
-    def _lookup(self, key: str, prompt: str, tag: str) -> tuple[tuple[str, float], ...]:
-        try:
-            return self._script[key]
-        except KeyError:
-            raise UnknownPromptError(key, prompt, tag) from None
+
+# Tries per request for both HTTP clients, the LM and web search.
+HTTP_ATTEMPTS = 3
 
 
 class HttpBackend:
@@ -191,8 +192,6 @@ class HttpBackend:
         base_url: str,
         model: str,
         api_key_env: str = "LM_API_KEY",
-        max_retries: int = 3,
-        timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
         import requests
@@ -200,8 +199,6 @@ class HttpBackend:
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
-        self.max_retries = max_retries
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
@@ -219,13 +216,13 @@ class HttpBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.max_retries):
+        for attempt in range(HTTP_ATTEMPTS):
             try:
                 resp = self._session.post(
                     f"{self.base_url}/chat/completions",
                     json=payload,
                     headers=headers,
-                    timeout=self.timeout,
+                    timeout=60.0,
                 )
                 resp.raise_for_status()
                 return self._parse(resp.json(), k)
@@ -234,9 +231,9 @@ class HttpBackend:
             # three; it is malformed, so it is retried like an outage.
             except (requests.RequestException, ValueError, KeyError, TypeError, AttributeError) as exc:
                 last_error = exc
-                if attempt + 1 < self.max_retries:
-                    time.sleep(min(2.0**attempt, 8.0))
-        raise BackendUnreachableError(f"backend failed after {self.max_retries} attempts: {last_error}")
+                if attempt + 1 < HTTP_ATTEMPTS:
+                    time.sleep(2.0**attempt)
+        raise BackendUnreachableError(f"backend failed after {HTTP_ATTEMPTS} attempts: {last_error}")
 
     @staticmethod
     def _parse(data: dict, k: int) -> GenerationOutcome:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 
 from .actions import (
     ACTION_ORDER,
@@ -295,7 +295,7 @@ def _build_trace(
         "rollouts": events,
         "backprops": [[leaf, reward] for leaf, reward in tree.backprop_log],
         "final": final,
-        "budget": budget.to_dict(),
+        "budget": asdict(budget),
     }
 
 

@@ -7,6 +7,7 @@ import heapq
 import json
 import logging
 import math
+import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ if TYPE_CHECKING:
 
 from .actions import ReasoningState, context_block, fill_template, load_template
 from .config import BudgetReport
-from .generation import Backend, sample_completions, text_after_marker
+from .generation import HTTP_ATTEMPTS, Backend, sample_completions, text_after_marker
 from .reward import NodeReward
 
 log = logging.getLogger(__name__)
@@ -55,10 +56,6 @@ class RetrievalRecord:
     def __post_init__(self):
         if (self.summary is not None) != self.verdict.admit:
             raise ValueError("summary present iff the verdict admits")
-
-    @property
-    def sufficient(self) -> bool:
-        return self.verdict.admit and self.verdict.sufficient
 
     def to_dict(self) -> dict:
         return {
@@ -168,21 +165,15 @@ class WebSearchRetriever:
         self,
         endpoint: str,
         api_key_env: str = "SEARCH_API_KEY",
-        max_retries: int = 3,
-        timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
         import requests
 
         self.endpoint = endpoint
         self.api_key_env = api_key_env
-        self.max_retries = max_retries
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def search(self, query: str, top_k: int) -> list[Document]:
-        import os
-
         import requests
 
         params = {"query": query, "count": top_k}
@@ -190,10 +181,10 @@ class WebSearchRetriever:
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        for attempt in range(self.max_retries):
+        for attempt in range(HTTP_ATTEMPTS):
             try:
                 resp = self._session.get(
-                    self.endpoint, params=params, headers=headers, timeout=self.timeout
+                    self.endpoint, params=params, headers=headers, timeout=30.0
                 )
                 resp.raise_for_status()
                 rows = resp.json().get("results", [])
@@ -219,19 +210,18 @@ def _ask(
     seed: int,
     backend: Backend,
     tag: str,
-    budget: BudgetReport | None,
+    budget: BudgetReport,
 ) -> str:
     """One single-sample gate call: fill the template, sample one
     completion, charge it to the budget, and return its text."""
     prompt = fill_template(load_template(template), values)
     outcome = sample_completions(prompt, 1, seed, backend, tag=tag)
-    if budget is not None:
-        budget.add_generation(outcome.tokens_consumed)
+    budget.add_generation(outcome.tokens_consumed)
     return outcome.completions[0].text
 
 
 def needs_retrieval(
-    state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport | None = None
+    state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport
 ) -> bool:
     """Ask the model whether external retrieval is required.
 
@@ -250,7 +240,7 @@ _QUERY_MARKER = re.compile(r"[Tt]he query is:?")
 
 
 def generate_query(
-    state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport | None = None
+    state: ReasoningState, backend: Backend, seed: int, budget: BudgetReport
 ) -> str | None:
     """Text after the last 'The query is:' marker, trimmed; None if absent
     or empty."""
@@ -276,7 +266,7 @@ def reflect(
     question: str,
     backend: Backend,
     seed: int,
-    budget: BudgetReport | None = None,
+    budget: BudgetReport,
 ) -> Verdict:
     """Admit or reject the retrieved batch; empty batches and unparseable
     evaluations reject (knowledge must earn admission)."""
@@ -298,7 +288,7 @@ def summarize(
     question: str,
     backend: Backend,
     seed: int,
-    budget: BudgetReport | None = None,
+    budget: BudgetReport,
 ) -> str:
     """The model's summary of the documents, stripped; "" if blank."""
     context = "; ".join(d.text for d in documents)

@@ -13,12 +13,12 @@ fixtures fail loudly with a missing-key error instead of drifting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .actions import ActionKind
-from .config import ConfigError, RunConfig
+from .actions import RETRIEVAL_ACTIONS
+from .config import RunConfig
 from .generation import GenerationOutcome, ScriptedBackend, prompt_key
 from .orchestrator import Backends, run_search
 from .retrieval import ScriptedRetriever
@@ -48,23 +48,9 @@ class World:
             retriever=ScriptedRetriever(self.retriever_script),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "question": self.question,
-            "gold": self.gold,
-            "config_overrides": self.config_overrides,
-            "lm_script": {k: [[t, ll] for t, ll in v] for k, v in sorted(self.lm_script.items())},
-            "retriever_script": {
-                q: [[d, t] for d, t in docs] for q, docs in sorted(self.retriever_script.items())
-            },
-            "expectations": self.expectations,
-            "tags": dict(sorted(self.tags.items())),
-        }
-
     def dump(self, path: str | Path) -> None:
         Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
 
@@ -81,29 +67,29 @@ def build_world(path: str | Path) -> World:
     for key in ("name", "question", "gold", "lm_script", "retriever_script"):
         if key not in data:
             raise WorldError(f"{path}: missing field '{key}'")
-    config_overrides = data.get("config_overrides", {})
-    try:
-        RunConfig.from_dict(config_overrides)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise WorldError(f"{path}: malformed 'config_overrides': {exc}") from exc
-    return World(
+    if not isinstance(data["name"], str):
+        raise WorldError(f"{path}: malformed 'name': expected a string")
+    world = World(
         name=data["name"],
         question=data["question"],
         gold=data["gold"],
-        config_overrides=config_overrides,
-        lm_script=_pairs(path, data, "lm_script", lambda t, ll: (t, float(ll))),
-        retriever_script=_pairs(path, data, "retriever_script", lambda d, t: (d, t)),
+        config_overrides=data.get("config_overrides", {}),
+        lm_script=data["lm_script"],
+        retriever_script=data["retriever_script"],
         expectations=data.get("expectations", {}),
         tags=data.get("tags", {}),
     )
-
-
-def _pairs(path: Path, data: dict, key: str, pair: Callable) -> dict:
-    """``data[key]`` as a map from key to a list of pairs built by ``pair``."""
-    try:
-        return {k: [pair(a, b) for a, b in v] for k, v in data[key].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise WorldError(f"{path}: malformed '{key}': {exc}") from exc
+    # Each field is checked by the parser that will read it at run time.
+    for key, parse in (
+        ("config_overrides", RunConfig.from_dict),
+        ("lm_script", ScriptedBackend),
+        ("retriever_script", ScriptedRetriever),
+    ):
+        try:
+            parse(getattr(world, key))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise WorldError(f"{path}: malformed '{key}': {exc}") from exc
+    return world
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +134,18 @@ class RecordingBackend(ScriptedBackend):
         return {k: list(v) for k, v in self._script.items()}
 
 
-def closure_configs(base: RunConfig) -> list[RunConfig]:
-    """Every configuration the acceptance suite runs a world under; the
-    recorded script must cover the union of their reachable prompts.
+def materialize(rule_world: RuleWorld) -> World:
+    """Run the engine against the rules under every configuration the
+    acceptance suite runs a world under, and freeze the recorded script
+    into a World; the script covers the union of their reachable prompts.
     Sequential expansion renders the same prompts as parallel expansion,
     so recording one mode closes the world for both."""
-    no_retrieval = frozenset(
-        {ActionKind.RETRIEVAL_REASONING, ActionKind.RETRIEVAL_DECOMPOSE}
-    ) | base.disabled_actions
-    return [
-        replace(base, rollouts=16),
-        replace(base, rollouts=16, disabled_actions=no_retrieval),
-    ]
-
-
-def materialize(rule_world: RuleWorld) -> World:
-    """Run the engine against the rules under all closure configs and
-    freeze the recorded script into a World."""
     backend = RecordingBackend(rule_world.rules)
-    base_config = RunConfig(**rule_world.config_overrides).validate()
-    for config in closure_configs(base_config):
+    base = RunConfig(**rule_world.config_overrides).validate()
+    for config in (
+        replace(base, rollouts=16),
+        replace(base, rollouts=16, disabled_actions=base.disabled_actions | RETRIEVAL_ACTIONS),
+    ):
         backends = Backends(
             lm=backend, retriever=ScriptedRetriever(rule_world.retriever_script)
         )

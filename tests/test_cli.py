@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -87,18 +88,18 @@ class TestRunBenchmark:
         ]
         return examples, chosen
 
-    def test_accuracy_arithmetic(self, worlds):
+    def test_accuracy_arithmetic(self, worlds, tmp_path):
         names = ["no-retrieval-00", "no-retrieval-01"]
         examples, chosen = self.setup_worlds(worlds, names)
         # Sabotage one gold answer so exactly one example grades correct.
         examples[1] = Example(id=names[1], question=examples[1].question, gold_answer="wrong")
         metrics, records = run_benchmark(
-            examples, lambda ex: (RunConfig(), chosen[ex.id].backends())
+            examples, lambda ex: (RunConfig(), chosen[ex.id].backends()), tmp_path
         )
         assert metrics.accuracy == pytest.approx(0.5)
         assert [r["correct"] for r in records] == [True, False]
 
-    def test_per_example_isolation(self, worlds):
+    def test_per_example_isolation(self, worlds, tmp_path):
         examples, chosen = self.setup_worlds(worlds, ["no-retrieval-00"])
         examples.append(Example(id="broken", question="q?", gold_answer="x"))
 
@@ -107,7 +108,7 @@ class TestRunBenchmark:
                 raise RuntimeError("boom")
             return RunConfig(), chosen[ex.id].backends()
 
-        metrics, records = run_benchmark(examples, setup)
+        metrics, records = run_benchmark(examples, setup, tmp_path)
         assert records[1]["error"] == "boom"
         assert metrics.accuracy == pytest.approx(0.5)
 
@@ -208,6 +209,31 @@ class TestMainWorldsMode:
         assert exc.value.code == 2
         assert "cannot disable 'A6'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_c_uct_exits_2(self, tmp_path, capsys, value):
+        argv = ["--worlds", str(FIXTURES), "--out-dir", str(tmp_path), "--c-uct", value]
+        assert main(argv) == 2
+        assert "c_uct must be finite" in capsys.readouterr().err
+
+    def test_world_file_is_keyed_by_its_name_not_its_stem(self, tmp_path, capsys):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        shutil.copy(FIXTURES / "no-retrieval-00.json", worlds_dir / "a.json")
+        out_dir = tmp_path / "out"
+        assert main(["--worlds", str(worlds_dir), "--out-dir", str(out_dir)]) == 0
+        assert "accuracy=1.0000" in capsys.readouterr().out
+        assert [p.name for p in out_dir.glob("*.trace.json")] == ["no-retrieval-00.trace.json"]
+
+    def test_two_worlds_of_one_name_exit_2_before_running(self, tmp_path, capsys):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        for stem in ("a", "b"):
+            shutil.copy(FIXTURES / "no-retrieval-00.json", worlds_dir / f"{stem}.json")
+        out_dir = tmp_path / "out"
+        assert main(["--worlds", str(worlds_dir), "--out-dir", str(out_dir)]) == 2
+        assert "duplicate example id 'no-retrieval-00'" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
     def test_malformed_world_file_exits_2(self, tmp_path, capsys):
         worlds_dir = tmp_path / "worlds"
         worlds_dir.mkdir()
@@ -225,9 +251,13 @@ class TestMainWorldsMode:
                 "name": "w", "question": "Q?", "gold": "a",
                 "lm_script": {"0123456789abcdef": [["t"]]}, "retriever_script": {},
             }), ": malformed 'lm_script': "),
+            ("--worlds", json.dumps({
+                "name": "w", "question": "Q?", "gold": "a", "lm_script": {},
+                "retriever_script": {}, "config_overrides": {"c_uct": float("nan")},
+            }), ": malformed 'config_overrides': c_uct must be finite"),
         ],
         ids=["dataset-choices-string", "dataset-choices-number", "dataset-row-list",
-             "world-lm-entry-short"],
+             "world-lm-entry-short", "world-c-uct-nan"],
     )
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):
         inputs = tmp_path / "inputs"
@@ -267,6 +297,35 @@ class TestMainDatasetMode:
         )
         assert code == 0
         assert "accuracy=1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["../escaped"], "example id '../escaped' is not a plain file name"),
+            ([".."], "example id '..' is not a plain file name"),
+            (["a/b"], "example id 'a/b' is not a plain file name"),
+            (["ok", "dup", "dup"], "duplicate example id 'dup'"),
+        ],
+        ids=["parent-path", "dot-dot", "separator", "duplicate"],
+    )
+    def test_bad_example_ids_exit_2_before_running(self, tmp_path, worlds, capsys, ids, message):
+        world = worlds["no-retrieval-00"]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            "".join(
+                json.dumps({"id": i, "question": world.question, "gold_answer": world.gold}) + "\n"
+                for i in ids
+            ),
+            encoding="utf-8",
+        )
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(world.lm_script), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["--dataset", str(dataset), "--out-dir", str(out_dir),
+                "--lm-scripted", str(script_path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.trace.json"))
 
     def test_bad_corpus_line_exits_2_with_line_number(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
@@ -400,9 +459,9 @@ class TestCliProcess:
             encoding="utf-8",
         )
         lm = tmp_path / "lm.json"
-        lm.write_text(json.dumps(world.to_dict()["lm_script"]), encoding="utf-8")
+        lm.write_text(json.dumps(world.lm_script), encoding="utf-8")
         docs = tmp_path / "map.json"
-        docs.write_text(json.dumps(world.to_dict()["retriever_script"]), encoding="utf-8")
+        docs.write_text(json.dumps(world.retriever_script), encoding="utf-8")
         out_dir = tmp_path / "out"
         proc = run_cli(
             "--dataset", dataset, "--out-dir", out_dir,

@@ -231,7 +231,7 @@ class TestHttpBackend:
     def test_retries_then_fails(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         session = _StubSession([_StubResponse({}, status=500)] * 3)
-        backend = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session)
         with pytest.raises(BackendUnreachableError):
             backend.sample("q", 1, seed=0)
         assert len(session.calls) == 3
@@ -239,7 +239,7 @@ class TestHttpBackend:
     def test_fewer_choices_than_k_is_unreachable_after_retries(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         session = _StubSession([_StubResponse(self.payload())] * 3)
-        backend = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session)
         with pytest.raises(BackendUnreachableError, match="2 choices, expected 4"):
             backend.sample("q", 4, seed=0)
         assert len(session.calls) == 3
@@ -265,7 +265,7 @@ class TestHttpBackend:
     def test_wrongly_typed_reply_is_retried_then_unreachable(self, monkeypatch, body):
         monkeypatch.setattr("time.sleep", lambda s: None)
         session = _StubSession([_StubResponse(body)] * 3)
-        backend = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session)
         with pytest.raises(BackendUnreachableError, match="after 3 attempts"):
             backend.sample("q", 1, seed=0)
         assert len(session.calls) == 3
@@ -273,7 +273,7 @@ class TestHttpBackend:
     def test_list_body_ends_the_search_with_a_valid_partial_trace(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         session = _StubSession([_StubResponse([])] * 3)
-        lm = HttpBackend("http://lm.test/v1", model="m", session=session, max_retries=3)
+        lm = HttpBackend("http://lm.test/v1", model="m", session=session)
         # Sequential, so the stub session answers one call at a time.
         config = RunConfig(rollouts=1, parallel_expansion=False)
         with pytest.raises(PartialResultError) as err:

@@ -212,7 +212,7 @@ class TestWebSearchRetriever:
 
     def test_degrades_to_empty_after_retries(self):
         session = _StubSession([_StubResponse({}, status=500)] * 3)
-        retriever = WebSearchRetriever("http://search.test", session=session, max_retries=3)
+        retriever = WebSearchRetriever("http://search.test", session=session)
         assert retriever.search("q", top_k=3) == []
         assert session.calls == 3
 
@@ -223,7 +223,7 @@ class TestWebSearchRetriever:
     )
     def test_wrongly_typed_reply_degrades_to_empty_after_retries(self, body):
         session = _StubSession([_StubResponse(body)] * 3)
-        retriever = WebSearchRetriever("http://search.test", session=session, max_retries=3)
+        retriever = WebSearchRetriever("http://search.test", session=session)
         assert retriever.search("q", top_k=3) == []
         assert session.calls == 3
 
@@ -258,7 +258,7 @@ def _prompt_for(fn, *args, **kwargs):
             raise RuntimeError("probe")
 
     with pytest.raises(RuntimeError):
-        fn(*args, Probe(), 0, **kwargs)
+        fn(*args, Probe(), 0, BudgetReport(), **kwargs)
     return captured["prompt"]
 
 
@@ -280,7 +280,7 @@ class TestNeedsRetrieval:
         assert verdict is False and budget.lm_calls == 1
 
     def test_garbage_defaults_to_retrieve(self):
-        verdict = needs_retrieval(self.STATE, self.backend("perhaps??"), 0)
+        verdict = needs_retrieval(self.STATE, self.backend("perhaps??"), 0, BudgetReport())
         assert verdict is True
 
     def test_sufficient_knowledge_short_circuits(self):
@@ -309,7 +309,7 @@ class TestGenerateQuery:
 
     def run(self, reply):
         prompt = _prompt_for(generate_query, self.STATE)
-        return generate_query(self.STATE, scripted_for(prompt, [(reply, -0.1)]), 0)
+        return generate_query(self.STATE, scripted_for(prompt, [(reply, -0.1)]), 0, BudgetReport())
 
     def test_extracts_after_last_marker(self):
         assert self.run('The query is: "discoverer of argon".') == "discoverer of argon"
@@ -344,14 +344,15 @@ class TestReflect:
         docs = self.DOCS if docs is None else docs
         prompt = _prompt_for(reflect, "argon discoverer", docs, "Who discovered argon?")
         backend = scripted_for(prompt, [(reply, -0.1)])
-        return reflect("argon discoverer", docs, "Who discovered argon?", backend, 0)
+        budget = BudgetReport()
+        return reflect("argon discoverer", docs, "Who discovered argon?", backend, 0, budget)
 
     def test_empty_docs_reject_without_model_call(self):
         class Exploding:
             def sample(self, *a, **k):
                 raise AssertionError("must not be called")
 
-        verdict = reflect("q", [], "question", Exploding(), 0)
+        verdict = reflect("q", [], "question", Exploding(), 0, BudgetReport())
         assert not verdict.admit
 
     def test_admit_and_sufficient(self):
@@ -383,7 +384,7 @@ class TestSummarize:
     def run(self, reply):
         prompt = _prompt_for(summarize, self.DOCS, "Who discovered argon?")
         backend = scripted_for(prompt, [(reply, -0.1)])
-        return summarize(self.DOCS, "Who discovered argon?", backend, 0)
+        return summarize(self.DOCS, "Who discovered argon?", backend, 0, BudgetReport())
 
     def test_returns_stripped_text(self):
         assert self.run("  Key Points: Point 1: found in 1894. ") == (
