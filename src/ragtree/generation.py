@@ -7,6 +7,7 @@ backend for real models.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import time
@@ -159,7 +160,19 @@ class ScriptedBackend:
         for key, outputs in script.items():
             if not outputs:
                 raise ValueError(f"script entry {key} has no outputs")
-            frozen[key] = tuple((str(t), float(ll)) for t, ll in outputs)
+            pairs = []
+            for output in outputs:
+                if not (isinstance(output, (list, tuple)) and len(output) == 2):
+                    raise ValueError(
+                        f"script entry {key}: expected [text, log_likelihood], got {output!r}"
+                    )
+                log_likelihood = float(output[1])
+                if not math.isfinite(log_likelihood):
+                    raise ValueError(
+                        f"script entry {key}: log-likelihood {log_likelihood} is not finite"
+                    )
+                pairs.append((str(output[0]), log_likelihood))
+            frozen[key] = tuple(pairs)
         self._script = frozen
 
     def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:

@@ -144,13 +144,21 @@ class ScriptedRetriever:
     """Canned query -> document-list map for deterministic tests."""
 
     def __init__(self, script: dict[str, list[tuple[str, str]]]):
-        self._script = {
-            query: tuple(
+        self._script: dict[str, tuple[Document, ...]] = {}
+        for query, docs in script.items():
+            for doc in docs:
+                if not (
+                    isinstance(doc, (list, tuple))
+                    and len(doc) == 2
+                    and all(isinstance(part, str) for part in doc)
+                ):
+                    raise ValueError(
+                        f"script entry {query!r}: expected [doc_id, text] strings, got {doc!r}"
+                    )
+            self._script[query] = tuple(
                 Document(doc_id=doc_id, text=text, score=1.0 / (rank + 1))
                 for rank, (doc_id, text) in enumerate(docs)
             )
-            for query, docs in script.items()
-        }
         self.calls = 0
 
     def search(self, query: str, top_k: int) -> list[Document]:

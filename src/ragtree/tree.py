@@ -92,26 +92,39 @@ class SearchTree:
 
     def select_child(self, node: SearchNode, c: float) -> SearchNode:
         """UCT argmax with ties broken by lowest child id. Every child has a
-        visit: ``expand`` backpropagates each child it creates."""
+        visit: ``expand`` backpropagates each child it creates. Each score
+        is ``uct_score``'s expression, evaluated in the same order, with
+        ln(N) taken once per call."""
         if not node.children:
             raise TreeError(f"node {node.id} has no children to select from")
         if node.visit_count < 1:
             raise TreeError("cannot select from an unvisited parent")
-        children = [self._nodes[cid] for cid in node.children]
-        best = children[0]
-        best_score = uct_score(best.q_value, best.visit_count, node.visit_count, c)
-        for child in children[1:]:
-            score = uct_score(child.q_value, child.visit_count, node.visit_count, c)
-            if score > best_score:
+        if c < 0:
+            raise TreeError("exploration constant must be nonnegative")
+        log_parent = math.log(node.visit_count)
+        sqrt = math.sqrt
+        nodes = self._nodes
+        best = None
+        best_score = 0.0
+        for child_id in node.children:
+            child = nodes[child_id]
+            n = child.visit_count
+            if n < 1:
+                raise TreeError(f"child {child_id} of node {node.id} has no visit")
+            score = child.q_value / n + c * sqrt(log_parent / n)
+            if best is None or score > best_score:
                 best, best_score = child, score
         return best
 
     def backpropagate(self, leaf_id: int, reward: float) -> None:
         """Add reward and one visit to every node from leaf to root."""
-        for node_id in self.path_to_root(leaf_id):
-            node = self._nodes[node_id]
+        nodes = self._nodes
+        node_id: int | None = leaf_id
+        while node_id is not None:
+            node = nodes[node_id]
             node.q_value += reward
             node.visit_count += 1
+            node_id = node.parent
         self.backprop_log.append((leaf_id, reward))
 
     def expand(self, node: SearchNode, realized: list[RealizedAction]) -> list[SearchNode]:

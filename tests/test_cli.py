@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragtree.cli import (
     DatasetError,
@@ -12,6 +14,7 @@ from ragtree.cli import (
     _build_lm,
     build_parser,
     grade,
+    indented_json,
     load_dataset,
     main,
     run_benchmark,
@@ -120,6 +123,44 @@ class TestRunBenchmark:
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["metrics"]["accuracy"] == 1.0
         assert "wall_time" not in json.dumps(payload)
+
+
+# Characters the string encoder escapes or passes through, next to arbitrary
+# text (lone surrogates included).
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]
+))
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, float("nan"), float("inf"), float("-inf")]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**80), 10**80) | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class _Dict(dict):
+    pass
+
+
+class TestIndentedJson:
+    @given(_JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {"a": [{None: 1}]}, _Dict(a=1), [{"a": _Dict()}], {1, 2}, {"a": [set()]}],
+        ids=["int-key", "nested-none-key", "dict-subclass", "nested-dict-subclass", "set",
+             "nested-set"],
+    )
+    def test_unsupported_values_raise(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
 
 
 class TestParser:
@@ -419,7 +460,9 @@ class TestMainDatasetMode:
         for message in messages:
             assert message in err
 
-    @pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"k": 3}'])
+    @pytest.mark.parametrize(
+        "content", ["not json", "[1, 2]", '{"k": 3}', '{"k": [["t", NaN]]}', '{"k": ["ab"]}']
+    )
     @pytest.mark.parametrize("flag", ["--lm-scripted", "--retriever-script"])
     def test_malformed_script_exits_2_naming_the_file(self, tmp_path, capsys, flag, content):
         dataset = tmp_path / "data.jsonl"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -98,6 +99,43 @@ class TestSelectChild:
             best = max(scores)
             want = -best[1]
             assert got == want
+
+    def test_negative_exploration_constant_errors(self):
+        tree = self.expanded([(1.0, 1), (0.5, 1)], parent_visits=3)
+        with pytest.raises(TreeError):
+            tree.select_child(tree.root, -0.5)
+
+    def test_unvisited_child_errors(self):
+        tree = self.expanded([(1.0, 1), (0.5, 1)], parent_visits=3)
+        tree.node(2).visit_count = 0
+        with pytest.raises(TreeError):
+            tree.select_child(tree.root, 1.4)
+
+    def test_chosen_score_is_uct_score_bit_for_bit(self):
+        # Each tree has a rival child whose score sits within two ulps of
+        # another child's (often equal), so the choice depends on the last
+        # bit of every score: evaluating uct_score's expression in any other
+        # order picks a different child on some of these trees.
+        rng = random.Random(23)
+        for _ in range(2000):
+            n_children = rng.randint(2, 6)
+            stats = [[rng.uniform(-5, 5), rng.randint(1, 50)] for _ in range(n_children)]
+            parent_visits = sum(n for _, n in stats) + rng.randint(0, 50)
+            c = rng.choice([0.0, rng.uniform(0, 3)])
+            i, j = rng.sample(range(n_children), 2)
+            target = uct_score(stats[i][0], stats[i][1], parent_visits, c)
+            n_j = stats[j][1]
+            q_j = (target - c * math.sqrt(math.log(parent_visits) / n_j)) * n_j
+            direction = rng.choice([-math.inf, math.inf])
+            for _ in range(rng.randint(0, 2)):
+                q_j = math.nextafter(q_j, direction)
+            stats[j][0] = q_j
+            tree = self.expanded([tuple(s) for s in stats], parent_visits)
+            chosen = tree.select_child(tree.root, c)
+            scores = [uct_score(q, n, parent_visits, c) for q, n in stats]
+            best = max(scores)
+            assert uct_score(chosen.q_value, chosen.visit_count, parent_visits, c) == best
+            assert chosen.id == tree.root.children[scores.index(best)]
 
     @given(
         stats=st.lists(

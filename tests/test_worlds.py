@@ -56,13 +56,17 @@ class TestFixtureFiles:
             ("lm_script", {"0123456789abcdef": [["t", "likely"]]}),
             ("lm_script", ["t", -0.1]),
             ("lm_script", {"0123456789abcdef": []}),
+            ("lm_script", {"0123456789abcdef": [["t", float("nan")]]}),
+            ("lm_script", {"0123456789abcdef": ["t1"]}),
             ("retriever_script", {"query": [["doc-1"]]}),
+            ("retriever_script", {"query": ["ab"]}),
             ("config_overrides", {"rollouts": 0}),
             ("config_overrides", {"no_such_setting": 1}),
             ("name", 5),
         ],
-        ids=["lm-entry-short", "lm-loglik-text", "lm-list", "lm-entry-empty",
-             "retriever-entry-short", "config-invalid", "config-unknown", "name-number"],
+        ids=["lm-entry-short", "lm-loglik-text", "lm-list", "lm-entry-empty", "lm-loglik-nan",
+             "lm-entry-string", "retriever-entry-short", "retriever-entry-string",
+             "config-invalid", "config-unknown", "name-number"],
     )
     def test_build_world_names_malformed_field(self, tmp_path, field, value):
         data = {"name": "w", "question": "Q?", "gold": "a", "lm_script": {},
