@@ -46,7 +46,7 @@ class Metrics:
     avg_tokens: float
     avg_lm_calls: float
     avg_retriever_calls: float
-    errors: int = 0
+    errors: int
 
 
 def load_dataset(path: str | Path) -> list[Example]:

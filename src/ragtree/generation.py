@@ -140,10 +140,8 @@ class Backend(Protocol):
 def sample_completions(
     prompt: str, k: int, seed: int, backend: Backend, tag: str = ""
 ) -> GenerationOutcome:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not prompt:
-        raise ValueError("prompt must be nonempty")
+    """``k`` is 1 or ``RunConfig.k_completions``, which ``validate`` keeps
+    >= 1, and every prompt is a filled template, never empty."""
     return backend.sample(prompt, k, seed, tag=tag)
 
 

@@ -339,11 +339,21 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
 
 
 def validate_trace(trace: dict) -> None:
-    """Structural checks every emitted trace must satisfy: depth and
-    sub-question bounds, parent/child coherence, terminal leaves."""
+    """The one trace checker; each violation raises ``ValueError``.
+
+    Nodes: within the depth and sub-question bounds, one deeper than their
+    parent, no disabled action, terminal nodes childless, pruned nodes
+    terminal. Rollout events: an expanding event's children are the next
+    node ids, in order, each a child of the event's selected node, and
+    every node but the root comes from one. Backprops: their leaves are
+    each expanding event's children and each other event's selected node,
+    in event order, and replaying them reproduces every node's ``n`` and
+    ``q`` exactly: the replay repeats the tree's float additions in the
+    same order. So the root's ``n`` is the number of backprops. A trace
+    whose ``final`` holds no error made ``config.rollouts`` rollouts."""
     config = RunConfig.from_dict(trace["config"])
     nodes = {n["id"]: n for n in trace["nodes"]}
-    child_count = {nid: 0 for nid in nodes}
+    has_children = set()
     for n in trace["nodes"]:
         if n["depth"] > config.max_depth:
             raise ValueError(f"node {n['id']} exceeds max depth")
@@ -354,9 +364,54 @@ def validate_trace(trace: dict) -> None:
             parent = nodes[n["parent"]]
             if n["depth"] != parent["depth"] + 1:
                 raise ValueError(f"node {n['id']} has inconsistent depth")
-            child_count[n["parent"]] += 1
+            has_children.add(n["parent"])
         if n["action"] is not None and ActionKind(n["action"]) in config.disabled_actions:
             raise ValueError(f"node {n['id']} used disabled action {n['action']}")
-    for nid, n in nodes.items():
-        if n["terminal"] and child_count[nid]:
+        if n["pruned"] and not n["terminal"]:
+            raise ValueError(f"pruned node {n['id']} is not terminal")
+    for nid in has_children:
+        if nodes[nid]["terminal"]:
             raise ValueError(f"terminal node {nid} has children")
+    leaves = []
+    next_id = 1
+    for index, event in enumerate(trace["rollouts"]):
+        selected, children = event["selected"], event["children"]
+        if not event["expanded"]:
+            leaves.append(selected)
+            continue
+        if children != list(range(next_id, next_id + len(children))):
+            raise ValueError(f"rollout {index}'s children are not the next node ids from {next_id}")
+        for cid in children:
+            if nodes[cid]["parent"] != selected:
+                raise ValueError(f"node {cid} of rollout {index} is not a child of node {selected}")
+        leaves.extend(children)
+        next_id += len(children)
+    if next_id != len(trace["nodes"]):
+        raise ValueError(
+            f"the rollout events create {next_id - 1} nodes, the trace holds"
+            f" {len(trace['nodes']) - 1} besides the root"
+        )
+    if [leaf for leaf, _ in trace["backprops"]] != leaves:
+        raise ValueError(
+            f"{len(trace['backprops'])} backprops do not match the {len(leaves)} leaves"
+            " of the rollout events"
+        )
+    # Every parent link lowers the depth by one, so each walk ends at the root.
+    visits = dict.fromkeys(nodes, 0)
+    values = dict.fromkeys(nodes, 0.0)
+    for leaf, reward in trace["backprops"]:
+        nid = leaf
+        while nid is not None:
+            visits[nid] += 1
+            values[nid] += reward
+            nid = nodes[nid]["parent"]
+    for nid, n in nodes.items():
+        if n["n"] != visits[nid] or n["q"] != values[nid]:
+            raise ValueError(
+                f"node {nid} has n={n['n']}, q={n['q']!r}; replaying the backprops"
+                f" gives n={visits[nid]}, q={values[nid]!r}"
+            )
+    if "error" not in trace["final"] and len(trace["rollouts"]) != config.rollouts:
+        raise ValueError(
+            f"{len(trace['rollouts'])} rollouts recorded, config asks for {config.rollouts}"
+        )

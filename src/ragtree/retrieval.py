@@ -33,7 +33,6 @@ class RetrievalError(Exception):
 class Document:
     doc_id: str
     text: str
-    score: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,7 @@ class LocalIndex:
         best = heapq.nsmallest(
             top_k, ((-score, self._docs[idx][0], idx) for idx, score in acc.items())
         )
-        return [
-            Document(doc_id=doc_id, text=self._docs[idx][1], score=-neg_score)
-            for neg_score, doc_id, idx in best
-        ]
+        return [Document(doc_id=doc_id, text=self._docs[idx][1]) for _, doc_id, idx in best]
 
 
 class ScriptedRetriever:
@@ -155,10 +151,7 @@ class ScriptedRetriever:
                     raise ValueError(
                         f"script entry {query!r}: expected [doc_id, text] strings, got {doc!r}"
                     )
-            self._script[query] = tuple(
-                Document(doc_id=doc_id, text=text, score=1.0 / (rank + 1))
-                for rank, (doc_id, text) in enumerate(docs)
-            )
+            self._script[query] = tuple(Document(doc_id=doc_id, text=text) for doc_id, text in docs)
         self.calls = 0
 
     def search(self, query: str, top_k: int) -> list[Document]:
@@ -167,7 +160,8 @@ class ScriptedRetriever:
 
 
 class WebSearchRetriever:
-    """Thin HTTP GET search client; expects {"results": [{id, text, score}]}."""
+    """Thin HTTP GET search client; expects {"results": [{id, text}]}, in
+    rank order. Other row fields are ignored."""
 
     def __init__(
         self,
@@ -197,11 +191,7 @@ class WebSearchRetriever:
                 resp.raise_for_status()
                 rows = resp.json().get("results", [])
                 return [
-                    Document(
-                        doc_id=str(r.get("id", i)),
-                        text=str(r.get("text", "")),
-                        score=float(r.get("score", 0.0)),
-                    )
+                    Document(doc_id=str(r.get("id", i)), text=str(r.get("text", "")))
                     for i, r in enumerate(rows[:top_k])
                 ]
             # A reply of the wrong shape (a list body, null results,
@@ -258,10 +248,9 @@ def generate_query(
 
 
 def execute_query(query: str, retriever: Retriever, top_k: int) -> list[Document]:
-    if not query:
-        raise RetrievalError("query must be nonempty")
-    if top_k < 1:
-        raise RetrievalError("top_k must be >= 1")
+    """At most ``top_k`` documents, whatever the retriever returns. The
+    query is nonempty (``generate_query`` gives ``None`` for a blank one),
+    and ``top_k`` is ``RunConfig.top_k_docs``, which ``validate`` keeps >= 1."""
     return retriever.search(query, top_k)[:top_k]
 
 
@@ -305,7 +294,6 @@ def summarize(
 
 
 def consistency_prune(reward: NodeReward, tau: float) -> bool:
-    """Prune (strictly) low-agreement branches as hallucination signals."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+    """Prune (strictly) low-agreement branches as hallucination signals;
+    ``RunConfig.validate`` keeps ``tau`` in [0, 1]."""
     return reward.confidence < tau

@@ -91,14 +91,12 @@ class SearchTree:
         return path
 
     def select_child(self, node: SearchNode, c: float) -> SearchNode:
-        """UCT argmax with ties broken by lowest child id. Every child has a
-        visit: ``expand`` backpropagates each child it creates. Each score
-        is ``uct_score``'s expression, evaluated in the same order, with
-        ln(N) taken once per call."""
+        """UCT argmax with ties broken by lowest child id. Every child, and
+        so the parent, has a visit: ``expand`` backpropagates each child it
+        creates. Each score is ``uct_score``'s expression, evaluated in the
+        same order, with ln(N) taken once per call."""
         if not node.children:
             raise TreeError(f"node {node.id} has no children to select from")
-        if node.visit_count < 1:
-            raise TreeError("cannot select from an unvisited parent")
         if c < 0:
             raise TreeError("exploration constant must be nonnegative")
         log_parent = math.log(node.visit_count)
@@ -109,8 +107,6 @@ class SearchTree:
         for child_id in node.children:
             child = nodes[child_id]
             n = child.visit_count
-            if n < 1:
-                raise TreeError(f"child {child_id} of node {node.id} has no visit")
             score = child.q_value / n + c * sqrt(log_parent / n)
             if best is None or score > best_score:
                 best, best_score = child, score

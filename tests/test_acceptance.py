@@ -113,29 +113,14 @@ def test_criterion_uct_arithmetic_and_selection():
 
 
 def test_criterion_backprop_conservation(worlds):
-    """On all 20 worlds: replaying the backprop log reproduces every node's
-    visit count and accumulated value exactly; the root's visit count equals
-    the number of committed backpropagations; the run executes exactly the
-    configured number of rollouts."""
+    """On all 20 worlds, checked by the trace validator: replaying the
+    backprop log reproduces every node's visit count and accumulated value
+    exactly; the root's visit count equals the number of committed
+    backpropagations; the run executes exactly the configured number of
+    rollouts."""
     assert len(worlds) >= 20
-    for name, world in worlds.items():
-        config = world.config()
-        result = run_world(world)
-        trace = result.trace
-        assert len(trace["rollouts"]) == config.rollouts, name
-        parents = {n["id"]: n["parent"] for n in trace["nodes"]}
-        visits = {nid: 0 for nid in parents}
-        values = {nid: 0.0 for nid in parents}
-        for leaf, reward in trace["backprops"]:
-            node = leaf
-            while node is not None:
-                visits[node] += 1
-                values[node] += reward
-                node = parents[node]
-        for node in trace["nodes"]:
-            assert node["n"] == visits[node["id"]], (name, node["id"])
-            assert node["q"] == pytest.approx(values[node["id"]], rel=1e-12, abs=1e-12)
-        assert trace["nodes"][0]["n"] == len(trace["backprops"]), name
+    for world in worlds.values():
+        validate_trace(run_world(world).trace)
     _done("backprop conservation and rollout accounting hold on all 20 worlds")
 
 

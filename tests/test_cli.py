@@ -22,7 +22,7 @@ from ragtree.cli import (
 from ragtree.config import RunConfig
 from ragtree.orchestrator import NO_ANSWER
 
-from conftest import FIXTURES, child_env
+from conftest import FIXTURES, child_env, run_world
 
 
 class TestLoadDataset:
@@ -101,6 +101,18 @@ class TestRunBenchmark:
         )
         assert metrics.accuracy == pytest.approx(0.5)
         assert [r["correct"] for r in records] == [True, False]
+
+    def test_averages_over_two_examples(self, worlds, tmp_path):
+        examples, chosen = self.setup_worlds(worlds, ["no-retrieval-00", "retrieval-gated-00"])
+        budgets = [run_world(chosen[ex.id]).budget for ex in examples]
+        assert budgets[0] != budgets[1]
+        metrics, _ = run_benchmark(
+            examples, lambda ex: (chosen[ex.id].config(), chosen[ex.id].backends()), tmp_path
+        )
+        assert (metrics.accuracy, metrics.errors) == (1.0, 0)
+        assert metrics.avg_tokens == sum(b.tokens_generated for b in budgets) / 2
+        assert metrics.avg_lm_calls == sum(b.lm_calls for b in budgets) / 2
+        assert metrics.avg_retriever_calls == sum(b.retriever_calls for b in budgets) / 2
 
     def test_per_example_isolation(self, worlds, tmp_path):
         examples, chosen = self.setup_worlds(worlds, ["no-retrieval-00"])

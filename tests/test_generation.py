@@ -25,7 +25,6 @@ from ragtree.generation import (
     extract_answer,
     normalize_answer,
     prompt_key,
-    sample_completions,
 )
 from ragtree.orchestrator import Backends, PartialResultError, run_search, validate_trace
 
@@ -153,13 +152,6 @@ class TestScriptedBackend:
     def test_empty_entry_rejected(self):
         with pytest.raises(ValueError):
             ScriptedBackend({"0" * 16: []})
-
-    def test_sample_completions_validates(self):
-        backend = self.backend()
-        with pytest.raises(ValueError):
-            sample_completions("hello", 0, 0, backend)
-        with pytest.raises(ValueError):
-            sample_completions("", 1, 0, backend)
 
 
 def test_prompt_key_is_stable_16_hex():

@@ -257,20 +257,6 @@ class _GateOutage:
         return self._inner.sample(prompt, k, seed, tag=tag)
 
 
-def conserved(trace: dict) -> bool:
-    """Replaying the backprop log reproduces every node's visit count."""
-    parents = {n["id"]: n["parent"] for n in trace["nodes"]}
-    visits = dict.fromkeys(parents, 0)
-    for leaf, _ in trace["backprops"]:
-        node = leaf
-        while node is not None:
-            visits[node] += 1
-            node = parents[node]
-    if any(n["n"] != visits[n["id"]] for n in trace["nodes"]):
-        return False
-    return trace["nodes"][0]["n"] == len(trace["backprops"])
-
-
 class TestGateOverlap:
     def test_ungated_siblings_start_before_the_gate_returns(self, worlds):
         world = worlds["no-retrieval-00"]
@@ -293,7 +279,6 @@ class TestGateOverlap:
                 run_search(world.question, config, Backends(lm, backends.retriever))
             trace = err.value.trace
             validate_trace(trace)
-            assert conserved(trace)
             assert trace["config"].pop("parallel_expansion") is parallel
             path = tmp_path / f"parallel-{parallel}.json"
             dump_trace(err.value, path)
@@ -350,7 +335,6 @@ class TestOutageProperty:
                 run_search(world.question, config, Backends(lm, backends.retriever))
             trace = err.value.trace
             validate_trace(trace)
-            assert conserved(trace)
             assert trace["config"].pop("parallel_expansion") is parallel
             dumped[parallel] = trace_json(trace)
         assert dumped[True] == dumped[False]
@@ -403,9 +387,20 @@ class TestPartialResults:
 
 
 class TestValidateTrace:
-    def test_accepts_real_traces(self, worlds):
+    @pytest.mark.parametrize("rollouts", [4, 8, 16])
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_accepts_real_traces(self, worlds, rollouts, parallel):
         for world in worlds.values():
-            validate_trace(run_world(world).trace)
+            # The pass-through LM keeps the pool in parallel mode.
+            backends = pooled(world.backends())
+            trace = run_world(world, backends, rollouts=rollouts, parallel_expansion=parallel).trace
+            validate_trace(trace)
+            validate_trace(json.loads(trace_json(trace)))
+
+    def test_accepts_a_node_at_max_depth(self, worlds):
+        trace = run_world(worlds["no-retrieval-01"], rollouts=16, max_depth=3).trace
+        assert max(n["depth"] for n in trace["nodes"]) == 3
+        validate_trace(trace)
 
     def corrupt(self, trace, mutate):
         bad = json.loads(json.dumps(trace))
@@ -459,6 +454,79 @@ class TestValidateTrace:
 
         with pytest.raises(ValueError, match="terminal"):
             validate_trace(self.corrupt(trace, terminalize_root))
+
+    @pytest.mark.parametrize("field", ["n", "q"])
+    def test_rejects_a_node_off_by_one_backprop(self, worlds, field):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+        leaf, reward = next((leaf, r) for leaf, r in trace["backprops"] if r != 0.0)
+
+        def add_one_backprop(t):
+            t["nodes"][leaf][field] += 1 if field == "n" else reward
+
+        with pytest.raises(ValueError, match="replaying the backprops"):
+            validate_trace(self.corrupt(trace, add_one_backprop))
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_rejects_a_dropped_backprop(self, worlds, drop):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+
+        def drop_backprop(t):
+            del t["backprops"][drop]
+
+        with pytest.raises(ValueError, match="backprops do not match"):
+            validate_trace(self.corrupt(trace, drop_backprop))
+
+    def test_rejects_reordered_children(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"]).trace
+
+        def reorder(t):
+            event = next(e for e in t["rollouts"] if len(e["children"]) > 1)
+            event["children"].reverse()
+
+        with pytest.raises(ValueError, match="not the next node ids"):
+            validate_trace(self.corrupt(trace, reorder))
+
+    def test_rejects_reused_children(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"]).trace
+
+        def reuse(t):
+            first, second = [e for e in t["rollouts"] if e["expanded"]][:2]
+            second["children"] = list(first["children"])
+
+        with pytest.raises(ValueError, match="not the next node ids"):
+            validate_trace(self.corrupt(trace, reuse))
+
+    def test_rejects_a_child_of_another_node(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"]).trace
+
+        def reselect(t):
+            event = next(e for e in t["rollouts"] if e["expanded"] and e["selected"] != 0)
+            event["selected"] = 0
+
+        with pytest.raises(ValueError, match="is not a child of node 0"):
+            validate_trace(self.corrupt(trace, reselect))
+
+    def test_rejects_a_pruned_nonterminal_node(self, worlds):
+        trace = run_world(worlds["consistency-trap-00"]).trace
+
+        def unterminate(t):
+            next(n for n in t["nodes"] if n["pruned"])["terminal"] = False
+
+        with pytest.raises(ValueError, match="pruned node"):
+            validate_trace(self.corrupt(trace, unterminate))
+
+    def test_rejects_missing_rollouts_unless_final_holds_an_error(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=15).trace
+
+        def expect_one_more(t):
+            # The trace of 15 rollouts is the first 15 of a 16-rollout run.
+            t["config"]["rollouts"] = 16
+
+        truncated = self.corrupt(trace, expect_one_more)
+        with pytest.raises(ValueError, match="15 rollouts recorded, config asks for 16"):
+            validate_trace(truncated)
+        truncated["final"] = {"error": "simulated outage"}
+        validate_trace(truncated)
 
 
 class _ByTag:

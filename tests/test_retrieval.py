@@ -41,7 +41,7 @@ class TestTokenize:
 
 def scan_search(documents, query, top_k):
     """Reference linear scan: score every document against every query term,
-    then sort all hits by (-score, doc_id)."""
+    then rank all hits by (-score, doc_id)."""
     docs = [(doc_id, text, tokenize(text)) for doc_id, text in documents]
     df = {}
     for _, _, terms in docs:
@@ -58,9 +58,9 @@ def scan_search(documents, query, top_k):
             if tf:
                 score += tf * math.log(1.0 + len(docs) / df[term])
         if score > 0.0:
-            scored.append(Document(doc_id=doc_id, text=text, score=score))
-    scored.sort(key=lambda d: (-d.score, d.doc_id))
-    return scored[:top_k]
+            scored.append((-score, doc_id, text))
+    scored.sort(key=lambda hit: hit[:2])
+    return [Document(doc_id=doc_id, text=text) for _, doc_id, text in scored[:top_k]]
 
 
 _WORDS = ["cat", "Dog", "of", "the", "x9", "fish"]
@@ -105,15 +105,24 @@ class TestLocalIndex:
         )
 
     def test_hand_computed_scores(self):
-        index = self.make_index()
+        index = LocalIndex(
+            [
+                ("d1", "cat cat dog"),
+                ("d2", "cat fish"),
+                ("d3", "bird bird bird"),
+                ("d4", "dog dog"),
+                ("d5", "cat cat cat"),
+            ]
+        )
         got = index.search("cat dog", top_k=10)
-        # N=3; df(cat)=2, df(dog)=1
+        # N=5; df(cat)=3, df(dog)=2. With ln(N/df) instead of ln(1+N/df),
+        # d4 would outrank d5.
         with mpmath.workdps(50):
-            d1 = float(2 * mpmath.log(1 + mpmath.mpf(3) / 2) + 1 * mpmath.log(1 + 3))
-            d2 = float(1 * mpmath.log(1 + mpmath.mpf(3) / 2))
-        assert [d.doc_id for d in got] == ["d1", "d2"]
-        assert got[0].score == pytest.approx(d1, rel=1e-12)
-        assert got[1].score == pytest.approx(d2, rel=1e-12)
+            cat, dog = mpmath.log(1 + mpmath.mpf(5) / 3), mpmath.log(1 + mpmath.mpf(5) / 2)
+            scores = {"d1": 2 * cat + dog, "d2": cat, "d4": 2 * dog, "d5": 3 * cat}
+            ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
+        assert ranked == ["d1", "d5", "d4", "d2"]
+        assert [d.doc_id for d in got] == ranked
 
     def test_zero_score_docs_excluded(self):
         got = self.make_index().search("cat", top_k=10)
@@ -208,7 +217,22 @@ class TestWebSearchRetriever:
         session = _StubSession([_StubResponse(payload)])
         retriever = WebSearchRetriever("http://search.test", session=session)
         got = retriever.search("q", top_k=3)
-        assert got == [Document(doc_id="w1", text="fact", score=0.9)]
+        assert got == [Document(doc_id="w1", text="fact")]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"id": "w1", "text": "fact", "score": None},
+            {"id": "w1", "text": "fact", "score": "high"},
+            {"id": "w1", "text": "fact"},
+        ],
+        ids=["null-score", "string-score", "no-score"],
+    )
+    def test_rows_parse_whatever_their_score(self, row):
+        session = _StubSession([_StubResponse({"results": [row]})])
+        retriever = WebSearchRetriever("http://search.test", session=session)
+        assert retriever.search("q", top_k=3) == [Document(doc_id="w1", text="fact")]
+        assert session.calls == 1
 
     def test_degrades_to_empty_after_retries(self):
         session = _StubSession([_StubResponse({}, status=500)] * 3)
@@ -325,16 +349,13 @@ class TestGenerateQuery:
 
 
 class TestExecuteQuery:
-    def test_validates_arguments(self):
-        retriever = ScriptedRetriever({})
-        with pytest.raises(RetrievalError):
-            execute_query("", retriever, 3)
-        with pytest.raises(RetrievalError):
-            execute_query("q", retriever, 0)
-
     def test_respects_top_k(self):
-        retriever = ScriptedRetriever({"q": [("d1", "a"), ("d2", "b"), ("d3", "c")]})
-        assert len(execute_query("q", retriever, 2)) == 2
+        # A third-party retriever may return more than it was asked for.
+        class Verbose:
+            def search(self, query, top_k):
+                return [Document(doc_id=f"d{i}", text="t") for i in range(top_k + 3)]
+
+        assert [d.doc_id for d in execute_query("q", Verbose(), 2)] == ["d0", "d1"]
 
 
 class TestReflect:
@@ -406,7 +427,3 @@ class TestConsistencyPrune:
 
     def test_tau_zero_never_prunes(self):
         assert not consistency_prune(self.reward(0.0 + 1e-9), tau=0.0)
-
-    def test_tau_validated(self):
-        with pytest.raises(ValueError):
-            consistency_prune(self.reward(0.5), tau=1.5)

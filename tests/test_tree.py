@@ -105,12 +105,6 @@ class TestSelectChild:
         with pytest.raises(TreeError):
             tree.select_child(tree.root, -0.5)
 
-    def test_unvisited_child_errors(self):
-        tree = self.expanded([(1.0, 1), (0.5, 1)], parent_visits=3)
-        tree.node(2).visit_count = 0
-        with pytest.raises(TreeError):
-            tree.select_child(tree.root, 1.4)
-
     def test_chosen_score_is_uct_score_bit_for_bit(self):
         # Each tree has a rival child whose score sits within two ulps of
         # another child's (often equal), so the choice depends on the last
