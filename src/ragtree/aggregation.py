@@ -16,20 +16,22 @@ class AggregationError(Exception):
 class Trajectory:
     node_path: tuple[int, ...]
     answer: str
-    reward: float
+    log_reward: float
 
 
 def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
-    """One trajectory per answered, non-pruned terminal node; its reward is
-    the product of positive rewards along the path, root excluded (the root
-    has no incoming action, hence no evaluation)."""
+    """One trajectory per answered, non-pruned terminal node; its log-reward
+    is the sum of log positive rewards along the path, root excluded (the
+    root has no incoming action, hence no evaluation)."""
     trajectories = []
     for node in tree.nodes:
         if not node.terminal or node.pruned or node.state.answered is None:
             continue
         path = tuple(reversed(tree.path_to_root(node.id)))
-        reward = math.prod(tree.node(nid).positive_reward for nid in path[1:])
-        trajectories.append(Trajectory(node_path=path, answer=node.state.answered, reward=reward))
+        log_reward = math.fsum(tree.node(nid).log_positive_reward for nid in path[1:])
+        trajectories.append(
+            Trajectory(node_path=path, answer=node.state.answered, log_reward=log_reward)
+        )
     return trajectories
 
 
@@ -43,13 +45,14 @@ def group_answers(trajectories: list[Trajectory]) -> list[list[Trajectory]]:
 
 
 def score_answers(groups: list[list[Trajectory]]) -> list[tuple[str, float]]:
-    """Each group's share of the total trajectory reward; shares sum to 1."""
+    """Each group's share of the total trajectory reward; shares sum to 1.
+    Rewards are taken relative to the largest, as exp(log_reward - max), so
+    the largest term is 1 and the total never underflows to 0."""
     if not groups:
         raise AggregationError("no answer groups to score")
-    totals = [math.fsum(t.reward for t in g) for g in groups]
+    top = max(t.log_reward for g in groups for t in g)
+    totals = [math.fsum(math.exp(t.log_reward - top) for t in g) for g in groups]
     grand_total = math.fsum(totals)
-    if grand_total <= 0.0:
-        raise AggregationError("total trajectory reward is not positive")
     return [(g[0].answer, total / grand_total) for g, total in zip(groups, totals)]
 
 

@@ -7,7 +7,6 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -66,20 +65,18 @@ def load_dataset(path: str | Path) -> list[Example]:
             for field in ("question", "gold_answer"):
                 if not row.get(field):
                     raise DatasetError(f"{path}:{lineno}: missing or empty '{field}'")
-            try:
-                choices = tuple(
-                    (str(label), str(text)) for label, text in row.get("choices", [])
-                )
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(
-                    f"{path}:{lineno}: 'choices' must be [label, text] pairs: {exc}"
-                ) from exc
+            choices = row.get("choices", [])
+            if not isinstance(choices, list) or not all(
+                isinstance(c, list) and len(c) == 2 and all(isinstance(p, str) for p in c)
+                for c in choices
+            ):
+                raise DatasetError(f"{path}:{lineno}: 'choices' must be [label, text] string pairs")
             examples.append(
                 Example(
                     id=str(row.get("id", lineno)),
                     question=str(row["question"]),
                     gold_answer=str(row["gold_answer"]),
-                    choices=choices,
+                    choices=tuple(map(tuple, choices)),
                 )
             )
     if not examples:
@@ -103,74 +100,11 @@ def grade(prediction: str, example: Example) -> bool:
     return equivalent(prediction, example.gold_answer)
 
 
-_NON_FINITE = frozenset({"nan", "inf", "-inf"})
-
-
-def indented_json(o: object, indent: str = "\n") -> str:
-    """Exactly ``json.dumps(o, indent=2, sort_keys=True)`` for dicts with
-    str keys, lists, tuples, str, int, float, bool and None; any other
-    value, including a subclass of dict or list, raises ``TypeError``.
-
-    Ints and bools are the bulk of a trace, so container items of those
-    types are written inline rather than through a call."""
-    t = type(o)
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key in sorted(o):
-            value = o[key]
-            t = type(value)
-            if t is int:
-                text = int.__repr__(value)
-            elif t is bool:
-                text = "true" if value else "false"
-            else:
-                text = indented_json(value, inner)
-            items.append(encode_basestring_ascii(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        items = []
-        for value in o:
-            t = type(value)
-            if t is int:
-                items.append(int.__repr__(value))
-            elif t is bool:
-                items.append("true" if value else "false")
-            else:
-                items.append(indented_json(value, inner))
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is float:
-        text = float.__repr__(o)
-        return json.dumps(o) if text in _NON_FINITE else text
-    if t is bool:
-        return "true" if o else "false"
-    if o is None:
-        return "null"
-    raise TypeError(f"cannot write {t.__name__} as trace JSON")
-
-
 def dump_trace(result: SearchResult, path: str | Path) -> None:
-    """Write the trace JSON with stable key order; byte-identical across
-    identical runs.
-
-    Before Python 3.13, ``json.dumps`` with ``indent`` runs the pure-Python
-    encoder, so ``indented_json`` writes the same bytes in about half the
-    time there. From 3.13 the C encoder handles ``indent`` and is faster
-    than ``indented_json``, so ``json.dumps`` writes. The version gate goes
-    when ``requires-python`` reaches 3.13."""
-    if sys.version_info < (3, 13):
-        text = indented_json(result.trace)
-    else:
-        text = json.dumps(result.trace, indent=2, sort_keys=True)
+    """Write the trace as one line of compact JSON with sorted keys;
+    byte-identical across identical runs. ``python -m json.tool`` prints it
+    indented."""
+    text = json.dumps(result.trace, sort_keys=True, separators=(",", ":"))
     try:
         Path(path).write_text(text + "\n", encoding="utf-8")
     except OSError as exc:

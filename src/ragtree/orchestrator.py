@@ -109,6 +109,7 @@ def _failed(
             state=failed_state,
             raw_reward=0.0,
             positive_reward=0.0,
+            log_positive_reward=float("-inf"),
             terminal=True,
             pruned=True,
         ),
@@ -198,6 +199,7 @@ def _evaluate_action(
             state=new_state,
             raw_reward=node_reward.raw_reward,
             positive_reward=node_reward.positive_reward,
+            log_positive_reward=node_reward.log_positive_reward,
             terminal=terminal,
             pruned=pruned,
         ),

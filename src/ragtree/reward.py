@@ -17,6 +17,12 @@ class NodeReward:
     raw_reward: float
     positive_reward: float
 
+    @property
+    def log_positive_reward(self) -> float:
+        """log(conf) + min(raw, 0): the positive reward's logarithm, which
+        stays finite where the positive reward underflows."""
+        return math.log(self.confidence) + min(self.raw_reward, 0.0)
+
 
 def cluster_completions(completions: list[Completion]) -> list[list[int]]:
     """Index groups of ``cluster_answers`` over the completions' answers."""
@@ -29,8 +35,8 @@ def compute_reward(clusters: list[list[int]], completions: list[Completion]) -> 
     The majority is the largest cluster; ties keep the earliest founded.
     The raw reward is the mean log-likelihood over the majority cluster
     (what UCT sees via Q). The positive reward conf*exp(min(raw, 0)) maps
-    it into (0, 1] so trajectory products stay positive and monotone; in
-    floats it underflows to 0.0 once raw falls below about -745.
+    it into (0, 1] for the trace; it underflows to 0.0 once raw falls below
+    about -745, so trajectories are scored from ``log_positive_reward``.
     """
     best = max(clusters, key=len)
     n_star = len(best)

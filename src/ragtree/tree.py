@@ -27,6 +27,7 @@ class SearchNode:
     q_value: float = 0.0
     visit_count: int = 0
     positive_reward: float = 1.0
+    log_positive_reward: float = 0.0
     parent: int | None = None
     depth: int = 0
     terminal: bool = False
@@ -44,6 +45,7 @@ class RealizedAction:
     state: ReasoningState
     raw_reward: float
     positive_reward: float = 1.0
+    log_positive_reward: float = 0.0
     terminal: bool = False
     pruned: bool = False
 
@@ -141,6 +143,7 @@ class SearchTree:
                 parent=node.id,
                 depth=node.depth + 1,
                 positive_reward=item.positive_reward,
+                log_positive_reward=item.log_positive_reward,
                 terminal=item.terminal,
                 pruned=item.pruned,
                 last_raw_reward=item.raw_reward,

@@ -2,6 +2,7 @@
 tolerance. Every test prints a single PASS line on success (visible with
 ``pytest -s`` or in captured output on failure)."""
 import json
+import math
 import random
 import threading
 from fractions import Fraction
@@ -126,12 +127,17 @@ def test_criterion_backprop_conservation(worlds):
 
 def test_criterion_answer_scores_normalized_and_scale_invariant():
     """Scores sum to 1 within 1e-9; rescaling all trajectory rewards by a
-    random positive constant never changes the selected answer (500 runs)."""
+    random positive constant (adding its log to every log-reward) never
+    changes the selected answer (500 runs)."""
     rng = random.Random(99)
     pool = ["alpha", "beta", "gamma", "42", "42.0"]
     for _ in range(500):
         trajectories = [
-            Trajectory(node_path=(0, i + 1), answer=rng.choice(pool), reward=rng.uniform(1e-6, 1.0))
+            Trajectory(
+                node_path=(0, i + 1),
+                answer=rng.choice(pool),
+                log_reward=math.log(rng.uniform(1e-6, 1.0)),
+            )
             for i in range(rng.randint(1, 10))
         ]
         scored = score_answers(group_answers(trajectories))
@@ -139,7 +145,7 @@ def test_criterion_answer_scores_normalized_and_scale_invariant():
         base_pick = select_best(scored)
         scale = rng.uniform(1e-3, 1e3)
         rescaled = [
-            Trajectory(node_path=t.node_path, answer=t.answer, reward=t.reward * scale)
+            Trajectory(node_path=t.node_path, answer=t.answer, log_reward=t.log_reward + math.log(scale))
             for t in trajectories
         ]
         assert select_best(score_answers(group_answers(rescaled))) == base_pick

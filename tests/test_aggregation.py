@@ -16,8 +16,8 @@ from ragtree.aggregation import (
 from ragtree.tree import RealizedAction, SearchTree
 
 
-def traj(answer, reward, terminal_id=0):
-    return Trajectory(node_path=(0, terminal_id), answer=answer, reward=reward)
+def traj(answer, log_reward, terminal_id=0):
+    return Trajectory(node_path=(0, terminal_id), answer=answer, log_reward=log_reward)
 
 
 def answered_state(answer):
@@ -36,6 +36,7 @@ class TestExtractTrajectories:
                     state=answered_state("a"),
                     raw_reward=-1.0,
                     positive_reward=0.5,
+                    log_positive_reward=math.log(0.5),
                     terminal=True,
                 ),
                 RealizedAction(
@@ -43,6 +44,7 @@ class TestExtractTrajectories:
                     state=ReasoningState(question="q?"),
                     raw_reward=-0.5,
                     positive_reward=0.8,
+                    log_positive_reward=math.log(0.8),
                 ),
             ],
         )
@@ -54,6 +56,7 @@ class TestExtractTrajectories:
                     state=answered_state("b"),
                     raw_reward=-1.0,
                     positive_reward=0.5,
+                    log_positive_reward=math.log(0.5),
                     terminal=True,
                 )
             ],
@@ -64,8 +67,8 @@ class TestExtractTrajectories:
         trajectories = extract_trajectories(self.build_tree())
         by_answer = {t.answer: t for t in trajectories}
         assert set(by_answer) == {"a", "b"}
-        assert by_answer["a"].reward == pytest.approx(0.5)
-        assert by_answer["b"].reward == pytest.approx(0.8 * 0.5)  # 0.4
+        assert by_answer["a"].log_reward == pytest.approx(math.log(0.5))
+        assert by_answer["b"].log_reward == pytest.approx(math.log(0.8 * 0.5))  # 0.4
         assert by_answer["b"].node_path == (0, 2, 3)
 
     def test_pruned_and_unanswered_excluded(self):
@@ -95,7 +98,9 @@ class TestExtractTrajectories:
 
 class TestGroupAnswers:
     def test_equivalence_grouping(self):
-        groups = group_answers([traj("42", 0.3), traj("Paris", 0.2), traj("42.0", 0.1)])
+        groups = group_answers(
+            [traj("42", math.log(0.3)), traj("Paris", math.log(0.2)), traj("42.0", math.log(0.1))]
+        )
         assert [g[0].answer for g in groups] == ["42", "Paris"]
         assert len(groups[0]) == 2
 
@@ -106,15 +111,18 @@ class TestGroupAnswers:
 
 class TestScoreAnswers:
     def test_normalized_shares(self):
-        groups = group_answers([traj("a", 0.3), traj("b", 0.1), traj("a", 0.2)])
+        groups = group_answers(
+            [traj("a", math.log(0.3)), traj("b", math.log(0.1)), traj("a", math.log(0.2))]
+        )
         scored = score_answers(groups)
         assert scored[0] == ("a", pytest.approx(0.5 / 0.6))
         assert scored[1] == ("b", pytest.approx(0.1 / 0.6))
         assert math.fsum(s for _, s in scored) == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_total_errors(self):
-        with pytest.raises(AggregationError):
-            score_answers(group_answers([traj("a", 0.0)]))
+    def test_log_rewards_far_below_float_underflow(self):
+        # exp(-800) is 0.0 in floats; the shares come from the differences.
+        scored = score_answers(group_answers([traj("a", -800.0), traj("b", -800.0 - math.log(3))]))
+        assert scored == [("a", pytest.approx(0.75)), ("b", pytest.approx(0.25))]
 
     @given(
         st.lists(
@@ -129,8 +137,10 @@ class TestScoreAnswers:
     )
     @settings(max_examples=200, deadline=None)
     def test_scale_invariance_and_normalization(self, items, scale):
-        base = score_answers(group_answers([traj(a, r) for a, r in items]))
-        scaled = score_answers(group_answers([traj(a, r * scale) for a, r in items]))
+        base = score_answers(group_answers([traj(a, math.log(r)) for a, r in items]))
+        scaled = score_answers(
+            group_answers([traj(a, math.log(r) + math.log(scale)) for a, r in items])
+        )
         assert [a for a, _ in base] == [a for a, _ in scaled]
         for (_, s1), (_, s2) in zip(base, scaled):
             assert s1 == pytest.approx(s2, rel=1e-9)

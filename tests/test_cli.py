@@ -5,8 +5,6 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ragtree.cli import (
     DatasetError,
@@ -14,13 +12,13 @@ from ragtree.cli import (
     _build_lm,
     build_parser,
     grade,
-    indented_json,
     load_dataset,
     main,
     run_benchmark,
 )
 from ragtree.config import RunConfig
-from ragtree.orchestrator import NO_ANSWER
+from ragtree.generation import Completion, GenerationOutcome
+from ragtree.orchestrator import NO_ANSWER, Backends, run_search
 
 from conftest import FIXTURES, child_env, run_world
 
@@ -129,50 +127,33 @@ class TestRunBenchmark:
 
     def test_writes_traces_and_metrics(self, worlds, tmp_path):
         examples, chosen = self.setup_worlds(worlds, ["no-retrieval-00"])
-        run_benchmark(examples, lambda ex: (RunConfig(), chosen[ex.id].backends()), tmp_path)
+        question = "Quelle ville est traversée par la Limmat ?"
+        examples.append(Example(id="limmat", question=question, gold_answer="Zürich"))
+
+        class Zurich:
+            def sample(self, prompt, k, seed, tag=""):
+                completion = Completion(text="The answer is: Zürich.", answer="Zürich")
+                return GenerationOutcome(completions=(completion,) * k, tokens_consumed=k)
+
+        def setup(ex):
+            if ex.id == "limmat":
+                return RunConfig(rollouts=4), Backends(Zurich())
+            return RunConfig(), chosen[ex.id].backends()
+
+        run_benchmark(examples, setup, tmp_path)
+        for example in examples:
+            text = (tmp_path / f"{example.id}.trace.json").read_text(encoding="utf-8")
+            trace = run_search(example.question, *setup(example)).trace
+            assert text == json.dumps(trace, sort_keys=True, separators=(",", ":")) + "\n"
+            assert text.count("\n") == 1 and text.isascii()
+            assert json.loads(text) == trace
+        limmat = (tmp_path / "limmat.trace.json").read_text()
+        assert '"question":"Quelle ville est travers\\u00e9e par la Limmat ?"' in limmat
         trace = json.loads((tmp_path / "no-retrieval-00.trace.json").read_text())
         assert trace["final"]["answer"] == "harbor-0"
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["metrics"]["accuracy"] == 1.0
         assert "wall_time" not in json.dumps(payload)
-
-
-# Characters the string encoder escapes or passes through, next to arbitrary
-# text (lone surrogates included).
-_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
-    ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]
-))
-_FLOATS = st.floats() | st.sampled_from(
-    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, float("nan"), float("inf"), float("-inf")]
-)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(10**80), 10**80) | _FLOATS | _TEXT,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=30,
-)
-
-
-class _Dict(dict):
-    pass
-
-
-class TestIndentedJson:
-    @given(_JSON)
-    @settings(max_examples=200, deadline=None)
-    def test_equals_json_dumps(self, value):
-        assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "value",
-        [{1: "a"}, {"a": [{None: 1}]}, _Dict(a=1), [{"a": _Dict()}], {1, 2}, {"a": [set()]}],
-        ids=["int-key", "nested-none-key", "dict-subclass", "nested-dict-subclass", "set",
-             "nested-set"],
-    )
-    def test_unsupported_values_raise(self, value):
-        with pytest.raises(TypeError):
-            indented_json(value)
 
 
 class TestParser:
@@ -299,6 +280,8 @@ class TestMainWorldsMode:
         [
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": "AB"}\n', ":1: "),
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": 5}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": ["AB", "CD"]}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": {"A)": "Paris"}}\n', ":1: "),
             ("--dataset", "[1, 2]\n", ":1: "),
             ("--worlds", json.dumps({
                 "name": "w", "question": "Q?", "gold": "a",
@@ -309,7 +292,8 @@ class TestMainWorldsMode:
                 "retriever_script": {}, "config_overrides": {"c_uct": float("nan")},
             }), ": malformed 'config_overrides': c_uct must be finite"),
         ],
-        ids=["dataset-choices-string", "dataset-choices-number", "dataset-row-list",
+        ids=["dataset-choices-string", "dataset-choices-number", "dataset-choices-strings",
+             "dataset-choices-object", "dataset-row-list",
              "world-lm-entry-short", "world-c-uct-nan"],
     )
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):

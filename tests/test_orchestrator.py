@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragtree.actions import ACTION_ORDER, ReasoningState
-from ragtree.aggregation import AggregationError
 from ragtree.cli import dump_trace, main
 from ragtree.config import BudgetReport, RunConfig
 from ragtree.generation import (
@@ -628,12 +627,6 @@ class TestBranchFailures:
 
 
 class TestRewardUnderflow:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AggregationError,
-        reason="conf*exp(min(raw, 0)) underflows to 0.0 below about -745, so every "
-        "trajectory reward is 0; scoring trajectories in log space fixes it",
-    )
     def test_long_completions_keep_a_positive_trajectory_reward(self):
         # A real LM that sums log-probabilities over a long chain of
         # thought reaches -800.
