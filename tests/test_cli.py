@@ -282,6 +282,9 @@ class TestMainWorldsMode:
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": 5}\n', ":1: "),
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": ["AB", "CD"]}\n', ":1: "),
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": {"A)": "Paris"}}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": [["A"]]}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": [["A", "x", "y"]]}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": [["A", 1]]}\n', ":1: "),
             ("--dataset", "[1, 2]\n", ":1: "),
             ("--worlds", json.dumps({
                 "name": "w", "question": "Q?", "gold": "a",
@@ -293,7 +296,8 @@ class TestMainWorldsMode:
             }), ": malformed 'config_overrides': c_uct must be finite"),
         ],
         ids=["dataset-choices-string", "dataset-choices-number", "dataset-choices-strings",
-             "dataset-choices-object", "dataset-row-list",
+             "dataset-choices-object", "dataset-choices-single", "dataset-choices-triple",
+             "dataset-choices-number-text", "dataset-row-list",
              "world-lm-entry-short", "world-c-uct-nan"],
     )
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):

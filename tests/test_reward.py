@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -89,6 +90,13 @@ class TestComputeReward:
         assert reward.raw_reward == 2.0
         assert reward.positive_reward == 1.0  # conf 1.0 * exp(min(2, 0))
 
+    def test_log_positive_reward_stays_finite_where_positive_underflows(self):
+        # exp(-800) is 0.0 in floats; its logarithm is kept exactly.
+        batch = [comp("x", -800.0), comp("x", -800.0), comp("y", -1.0), comp("z", -1.0)]
+        reward = compute_reward(cluster_completions(batch), batch)
+        assert reward.positive_reward == 0.0
+        assert reward.log_positive_reward == math.log(0.5) - 800.0
+
     def test_tie_keeps_earliest_founded(self):
         batch = [comp("a", -1.0), comp("b", -0.1), comp("a", -1.0), comp("b", -0.1)]
         reward = compute_reward(cluster_completions(batch), batch)
@@ -120,6 +128,7 @@ class TestComputeReward:
         n_star = max(len(c) for c in clusters)
         assert reward.confidence == pytest.approx(n_star / k)
         assert 0.0 < reward.positive_reward <= 1.0
+        assert reward.log_positive_reward == pytest.approx(math.log(reward.positive_reward))
         # raw reward is the mean over the majority cluster, independently summed
         majority = next(c for c in clusters if len(c) == n_star)
         assert reward.majority == tuple(majority)
