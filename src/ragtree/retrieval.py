@@ -11,6 +11,7 @@ import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
@@ -72,44 +73,68 @@ class Retriever(Protocol):
         ...
 
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 def tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    return _TOKEN.findall(text.lower())
 
 
 class LocalIndex:
     """In-memory inverted index scoring sum(tf * ln(1 + N/df)) over query
     terms, ranked by (-score, doc_id).
 
-    Building it is one pass over the corpus: each document keeps its term
-    counts, and each distinct term lists the documents that contain it, so
-    df is the length of that list. A search touches only the documents that
-    share a query term. Immutable after construction, so concurrent
+    Building it is one pass over the corpus that precomputes, for each
+    term, every containing document's contribution tf * ln(1 + N/df);
+    documents with the same tf share one float. Documents are numbered in
+    (doc_id, input position) order, so ranking by (-score, number) breaks
+    ties by doc_id. A search adds up the contributions of the documents
+    that share a query term. Immutable after construction, so concurrent
     searches are safe."""
 
     def __init__(self, documents: list[tuple[str, str]]):
-        self._docs = list(documents)
-        self._tf = [Counter(tokenize(text)) for _, text in self._docs]
-        postings: defaultdict[str, list[int]] = defaultdict(list)
-        for idx, tf in enumerate(self._tf):
-            for term in tf:
-                postings[term].append(idx)
-        self._postings = dict(postings)
+        # sorted() is stable: documents of one doc_id keep their input order.
+        self._docs = sorted(documents, key=itemgetter(0))
+        numbers: defaultdict[str, list[int]] = defaultdict(list)
+        for number, (_, text) in enumerate(self._docs):
+            for term in tokenize(text):
+                numbers[term].append(number)
+        n_docs = len(self._docs)
+        self._postings: dict[str, dict[int, float]] = {}
+        for term, occurrences in numbers.items():
+            tf = Counter(occurrences)
+            occurrences.clear()  # lowers the build's peak memory
+            weight = math.log(1.0 + n_docs / len(tf))
+            share = {count: count * weight for count in set(tf.values())}
+            self._postings[term] = dict(zip(tf, map(share.__getitem__, tf.values())))
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndex":
+        """One document per nonblank line, ``{"doc_id": ..., "text": ...}``.
+        ``doc_id`` is a string or an integer and unique; ``text`` is a
+        string. Anything else raises ``RetrievalError`` naming the line."""
         documents = []
+        first_line: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
                     row = json.loads(line)
-                    documents.append((str(row["doc_id"]), str(row["text"])))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    doc_id, text = row["doc_id"], row["text"]
+                    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                        raise TypeError(f"doc_id must be a string or an integer, got {doc_id!r}")
+                    if not isinstance(text, str):
+                        raise TypeError(f"text must be a string, got {text!r}")
+                    doc_id = str(doc_id)
+                    if doc_id in first_line:
+                        raise ValueError(
+                            f"doc_id {doc_id!r} repeats line {first_line[doc_id]}"
+                        )
+                except (ValueError, KeyError, TypeError) as exc:
                     raise RetrievalError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
+                first_line[doc_id] = lineno
+                documents.append((doc_id, text))
         return cls(documents)
 
     def __len__(self) -> int:
@@ -118,22 +143,28 @@ class LocalIndex:
     def search(self, query: str, top_k: int) -> list[Document]:
         if top_k < 1:
             raise RetrievalError("top_k must be >= 1")
-        n_docs = len(self._docs)
         # Each score accumulates from 0.0 term by term in query order, repeats
-        # included. Float addition is not associative, so keep that order:
-        # it fixes every score to the last bit and hence the ranking.
+        # included. Float addition is commutative but not associative, so
+        # merging the smaller of the running scores and the posting into a
+        # copy of the larger keeps every score to the last bit. A posting is
+        # only ever copied, never written.
         acc: dict[int, float] = {}
         for term in tokenize(query):
             posting = self._postings.get(term)
             if posting is None:
                 continue
-            weight = math.log(1.0 + n_docs / len(posting))
-            for idx in posting:
-                acc[idx] = acc.get(idx, 0.0) + self._tf[idx][term] * weight
-        best = heapq.nsmallest(
-            top_k, ((-score, self._docs[idx][0], idx) for idx, score in acc.items())
-        )
-        return [Document(doc_id=doc_id, text=self._docs[idx][1]) for _, doc_id, idx in best]
+            if len(posting) > len(acc):
+                acc, posting = dict(posting), acc
+            for number, score in posting.items():
+                acc[number] = acc.get(number, 0.0) + score
+        if len(acc) > top_k:
+            kth = heapq.nlargest(top_k, acc.values())[-1]
+            hits = [number for number, score in acc.items() if score >= kth]
+        else:
+            hits = list(acc)
+        hits.sort(key=lambda number: (-acc[number], number))
+        docs = self._docs
+        return [Document(doc_id=docs[n][0], text=docs[n][1]) for n in hits[:top_k]]
 
 
 class ScriptedRetriever:

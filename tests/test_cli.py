@@ -19,6 +19,7 @@ from ragtree.cli import (
 from ragtree.config import RunConfig
 from ragtree.generation import Completion, GenerationOutcome
 from ragtree.orchestrator import NO_ANSWER, Backends, run_search
+from ragtree.retrieval import Document, LocalIndex
 
 from conftest import FIXTURES, child_env, run_world
 
@@ -338,6 +339,62 @@ class TestMainDatasetMode:
         )
         assert code == 0
         assert "accuracy=1.0000" in capsys.readouterr().out
+
+    def test_gated_question_answers_through_corpus(self, tmp_path, worlds, capsys):
+        # The world's one document plus documents that share no term with
+        # its query "secret codeword of Auria", so the index returns exactly
+        # the scripted document and every prompt is a scripted one. Only
+        # retrieval answers the question.
+        world = worlds["retrieval-gated-00"]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "g0", "question": world.question, "gold_answer": world.gold})
+            + "\n",
+            encoding="utf-8",
+        )
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(world.lm_script), encoding="utf-8")
+        [(query, [(doc_id, text)])] = world.retriever_script.items()
+        others = ["Harbour tides run high in spring.", "Grain prices fell at the market."]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"doc_id": i, "text": t}) + "\n"
+                for i, t in [("filler-1", others[0]), (doc_id, text), ("filler-2", others[1])]
+            ),
+            encoding="utf-8",
+        )
+        argv = ["--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                "--lm-scripted", str(script_path), "--corpus", str(corpus)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "accuracy=1.0000" in out
+        assert "avg_retriever_calls=2.0" in out
+        assert LocalIndex.from_jsonl(corpus).search(query, 10) == [Document(doc_id, text)]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"doc_id": null, "text": null}', "doc_id must be a string or an integer"),
+            ('{"doc_id": "d2", "text": 3}', "text must be a string"),
+            ('{"doc_id": "d1", "text": "dog"}', "doc_id 'd1' repeats line 1"),
+        ],
+        ids=["null-row", "int-text", "repeated-id"],
+    )
+    def test_malformed_corpus_row_exits_2_naming_the_line(self, tmp_path, capsys, line, message):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        script_path = tmp_path / "script.json"
+        script_path.write_text("{}", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "cat"}\n' + line + "\n", encoding="utf-8")
+        argv = ["--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                "--lm-scripted", str(script_path), "--corpus", str(corpus)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:2: bad corpus line: ")
+        assert message in err
+        assert not list(tmp_path.rglob("*.trace.json"))
 
     @pytest.mark.parametrize(
         "ids, message",

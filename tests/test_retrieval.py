@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -37,6 +39,15 @@ class TestTokenize:
         assert tokenize("The Cat, sat-on 2 mats!") == ["the", "cat", "sat", "on", "2", "mats"]
         assert tokenize("") == []
         assert tokenize("---") == []
+
+    # "İ".lower() is two characters, "i" and a combining dot, so the lowered
+    # text is longer than the input.
+    @given(st.text())
+    @example("İstanbul")
+    @example("İ")
+    @example("ǅungla ß x9")
+    def test_equals_split_and_drop_empties(self, text):
+        assert tokenize(text) == [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
 
 
 def scan_search(documents, query, top_k):
@@ -87,11 +98,69 @@ class TestLocalIndexMatchesScan:
     @example(documents=[("b", "cat"), ("a", "cat"), ("a", "cat dog")], query="cat cat zebra")
     @example(documents=[("a", "cat dog"), ("a", "dog cat")], query="dog, cat")
     @example(documents=[("a", "cat")], query="!?")
+    # Equal scores from different terms: "b" enters the running scores
+    # before "a" does, yet "a" ranks first.
+    @example(documents=[("b", "cat"), ("a", "dog")], query="cat dog")
     @settings(max_examples=300, deadline=None)
     def test_identical_to_linear_scan(self, documents, query):
         index = LocalIndex(documents)
         for top_k in range(1, len(documents) + 3):
             assert index.search(query, top_k) == scan_search(documents, query, top_k)
+
+
+def _common_term_corpus(n_docs=2000, seed=20):
+    """Seeded corpus in which "common" is in every document; the other
+    words follow a skewed distribution, so scores tie often. Ids repeat, so
+    ties also fall back to input position."""
+    rng = random.Random(seed)
+    vocabulary = [f"w{i}" for i in range(60)]
+    weights = [1.0 / (rank + 1) for rank in range(len(vocabulary))]
+    documents = []
+    for _ in range(n_docs):
+        words = ["common"] * rng.randint(1, 3) + rng.choices(vocabulary, weights, k=rng.randint(0, 12))
+        rng.shuffle(words)
+        documents.append((f"d{rng.randrange(n_docs // 2):04d}", " ".join(words)))
+    return documents
+
+
+# "common" first merges small postings into a copy of its own; "common"
+# last or repeated copies it and merges the running scores into the copy.
+_COMMON_QUERIES = [
+    "common w5 w40",
+    "w5 w40 common",
+    "common w5 common",
+    "w40 common w40 common",
+    "w7 w59",
+    "w3 zebra",
+]
+
+
+class TestLocalIndexCommonTerm:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        documents = _common_term_corpus()
+        scans = {q: scan_search(documents, q, len(documents)) for q in _COMMON_QUERIES}
+        return documents, LocalIndex(documents), scans
+
+    @pytest.mark.parametrize("query", _COMMON_QUERIES)
+    def test_matches_scan_at_every_top_k_edge(self, corpus, query):
+        documents, index, scans = corpus
+        hits = len(scans[query])
+        if "common" in query:
+            assert hits == len(documents)
+        else:
+            assert 1 < hits < len(documents)
+        for top_k in (1, 2, 10, hits - 1, hits, hits + 1):
+            assert index.search(query, top_k) == scans[query][:top_k]
+
+    def test_interleaved_repeated_queries_equal_a_fresh_index(self, corpus):
+        # A search that wrote into a posting would change every later search
+        # of that term; a fresh index per query has no earlier searches.
+        documents, index, scans = corpus
+        fresh = {q: LocalIndex(documents).search(q, 25) for q in _COMMON_QUERIES}
+        rng = random.Random(7)
+        for query in rng.choices(_COMMON_QUERIES, k=40) + _COMMON_QUERIES:
+            assert index.search(query, 25) == fresh[query] == scans[query][:25]
 
 
 class TestLocalIndex:
@@ -170,6 +239,37 @@ class TestLocalIndex:
         corpus.write_text('{"doc_id": "d1", "text": "cat"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(RetrievalError, match=r"corpus\.jsonl:2: bad corpus line"):
             LocalIndex.from_jsonl(corpus)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"doc_id": None, "text": None}, "doc_id must be a string or an integer, got None"),
+            ({"doc_id": "d2", "text": None}, "text must be a string, got None"),
+            ({"doc_id": "d2", "text": 7}, "text must be a string, got 7"),
+            ({"doc_id": "d2", "text": ["cat"]}, "text must be a string"),
+            ({"doc_id": True, "text": "cat"}, "doc_id must be a string or an integer, got True"),
+            ({"doc_id": 2.0, "text": "cat"}, "doc_id must be a string or an integer, got 2.0"),
+            ({"doc_id": ["d2"], "text": "cat"}, "doc_id must be a string or an integer"),
+            ({"doc_id": "7", "text": "dog"}, "doc_id '7' repeats line 1"),
+            ({"doc_id": 7, "text": "dog"}, "doc_id '7' repeats line 1"),
+        ],
+        ids=["null-row", "null-text", "int-text", "list-text", "bool-id", "float-id",
+             "list-id", "repeated-id", "int-id-repeats-its-string"],
+    )
+    def test_from_jsonl_rejects_bad_rows_naming_the_line(self, tmp_path, row, message):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"doc_id": "7", "text": "cat"}) + "\n\n" + json.dumps(row) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RetrievalError, match=r"corpus\.jsonl:3: bad corpus line: ") as info:
+            LocalIndex.from_jsonl(corpus)
+        assert message in str(info.value)
+
+    def test_from_jsonl_keeps_integer_ids_as_strings(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": 12, "text": "cat"}\n', encoding="utf-8")
+        assert LocalIndex.from_jsonl(corpus).search("cat", 1) == [Document("12", "cat")]
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_search_rejects_top_k_below_one(self, top_k):
