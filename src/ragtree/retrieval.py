@@ -128,9 +128,7 @@ class LocalIndex:
                         raise TypeError(f"text must be a string, got {text!r}")
                     doc_id = str(doc_id)
                     if doc_id in first_line:
-                        raise ValueError(
-                            f"doc_id {doc_id!r} repeats line {first_line[doc_id]}"
-                        )
+                        raise ValueError(f"doc_id {doc_id!r} repeats line {first_line[doc_id]}")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise RetrievalError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
                 first_line[doc_id] = lineno
