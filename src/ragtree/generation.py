@@ -84,20 +84,23 @@ def extract_answer(text: str) -> str | None:
 
 _ARTICLES = frozenset({"a", "an", "the"})
 _NON_ALNUM = re.compile(r"[^0-9a-z\s]")
+_DIGIT = re.compile(r"\d")
 
 
 def normalize_answer(text: str) -> str:
     """Canonical form for equivalence: numerals collapse to a canonical
     decimal; otherwise lowercase, punctuation and articles stripped."""
     raw = text.strip()
-    numeric = raw.rstrip(".").strip()
-    try:
-        value = Decimal(numeric)
-    except InvalidOperation:
-        pass
-    else:
-        if value.is_finite():
-            return format(value.normalize(), "f")
+    # A finite Decimal needs a Unicode Nd digit, which is what \d matches;
+    # most answers hold none and skip the parse.
+    if _DIGIT.search(raw):
+        try:
+            value = Decimal(raw.rstrip(".").strip())
+        except InvalidOperation:
+            pass
+        else:
+            if value.is_finite():
+                return format(value.normalize(), "f")
     lowered = _NON_ALNUM.sub(" ", raw.lower())
     words = [w for w in lowered.split() if w not in _ARTICLES]
     return " ".join(words)
@@ -108,18 +111,14 @@ def equivalent(a: str, b: str) -> bool:
 
 
 def cluster_answers(answers: list[str]) -> list[list[int]]:
-    """Greedy first-match clustering in input order: each answer joins the
-    first cluster whose founding answer it matches, else founds a new
-    cluster. Returns each cluster's member indices, in founding order."""
-    clusters: list[list[int]] = []
+    """Each answer's indices grouped by ``normalize_answer`` key, in input
+    order; clusters come in founding order. Equivalence is equality of
+    keys, so this is greedy first-match clustering with each answer
+    normalized once."""
+    clusters: dict[str, list[int]] = {}
     for idx, answer in enumerate(answers):
-        for members in clusters:
-            if equivalent(answer, answers[members[0]]):
-                members.append(idx)
-                break
-        else:
-            clusters.append([idx])
-    return clusters
+        clusters.setdefault(normalize_answer(answer), []).append(idx)
+    return list(clusters.values())
 
 
 def prompt_key(prompt: str) -> str:

@@ -18,11 +18,20 @@ or a ``LocalIndex`` answers in-process under the interpreter lock, where a
 pool overlaps nothing and adds thread hand-offs, so it runs its siblings
 inline even in parallel mode. Any other backend (``HttpBackend``,
 ``WebSearchRetriever``, any wrapper) gets the pool.
+
+Within one search the retriever sees each distinct query text once. The
+first evaluation that asks for a query runs it; every other evaluation
+that asks for it, in this rollout or a later one, and even while that call
+still runs on another pool thread, gets the same documents, or the same
+exception. ``[]`` is reused like any other result. Each evaluation keeps
+its own reflect and summarize calls, which are seeded samples. The map of
+searches lives and dies with one ``run_search`` call, because one
+``Backends`` serves every question of a batch.
 """
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace as dc_replace
 
 from .actions import (
@@ -40,6 +49,7 @@ from .aggregation import extract_trajectories, group_answers, score_answers, sel
 from .config import BudgetReport, RunConfig
 from .generation import Backend, BackendUnreachableError, ScriptedBackend, sample_completions
 from .retrieval import (
+    Document,
     LocalIndex,
     RetrievalRecord,
     Retriever,
@@ -119,6 +129,35 @@ def _failed(
     )
 
 
+def _search_once(
+    query: str,
+    retriever: Retriever,
+    top_k: int,
+    searches: dict[str, Future],
+    budget: BudgetReport,
+) -> list[Document]:
+    """The documents for ``query``, searched at most once per search.
+
+    ``searches`` maps each query asked so far to its future. ``setdefault``
+    is atomic, so exactly one caller finds its own future there: it runs
+    ``execute_query`` and charges the call to its budget. Every other
+    caller waits for that future and gets its documents or its exception.
+    ``top_k`` is ``config.top_k_docs`` on every call of one search, so the
+    query text alone is the key."""
+    mine: Future = Future()
+    shared = searches.setdefault(query, mine)
+    if shared is not mine:
+        return shared.result()
+    try:
+        documents = execute_query(query, retriever, top_k)
+    except BaseException as exc:
+        mine.set_exception(exc)
+        raise
+    budget.add_retrieval()
+    mine.set_result(documents)
+    return documents
+
+
 def _evaluate_action(
     state: ReasoningState,
     action: ActionKind,
@@ -126,6 +165,7 @@ def _evaluate_action(
     config: RunConfig,
     lm: Backend,
     retriever: Retriever | None,
+    searches: dict[str, Future],
 ) -> _Evaluated:
     """Run one action end to end: optional retrieval cycle, K-sample
     generation, majority-cluster reward, and successor-state construction.
@@ -146,8 +186,7 @@ def _evaluate_action(
             state, lm, derive_seed(config.seed, node_id, action.code, "query"), budget
         )
     if query is not None:
-        documents = execute_query(query, retriever, config.top_k_docs)
-        budget.add_retrieval()
+        documents = _search_once(query, retriever, config.top_k_docs, searches, budget)
         verdict = reflect(
             query,
             documents,
@@ -215,6 +254,7 @@ def rollout(
     budget: BudgetReport,
     index: int,
     pool: ThreadPoolExecutor | None,
+    searches: dict[str, Future],
 ) -> dict:
     """One search iteration: descend to a leaf, expand it with all legal
     actions, and backpropagate.
@@ -223,7 +263,8 @@ def rollout(
     in canonical order. With ``pool`` every action runs on the pool: the
     ungated siblings are submitted before the gate call, which runs on
     this thread, and A4/A5 after it if it says retrieval is needed. The
-    results are collected and committed in canonical order either way."""
+    results are collected and committed in canonical order either way.
+    ``searches`` is the search's map of executed queries (``_search_once``)."""
     node = tree.root
     while node.children:
         node = tree.select_child(node, config.c_uct)
@@ -236,7 +277,9 @@ def rollout(
     node_id = node.id
 
     def evaluate(action: ActionKind) -> _Evaluated:
-        return _evaluate_action(state, action, node_id, config, backends.lm, backends.retriever)
+        return _evaluate_action(
+            state, action, node_id, config, backends.lm, backends.retriever, searches
+        )
 
     def gate() -> bool:
         if not RETRIEVAL_ACTIONS - config.disabled_actions or backends.retriever is None:
@@ -310,6 +353,8 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
     budget = BudgetReport()
     tree = SearchTree(ReasoningState(question=question), max_depth=config.max_depth)
     events: list[dict] = []
+    # Never kept on ``backends``, which serves every question of a batch.
+    searches: dict[str, Future] = {}
     # One pool per search; it starts threads on demand, at most one per action.
     # In-process backends never wait, so a pool would only add hand-offs.
     in_process = isinstance(backends.lm, ScriptedBackend) and isinstance(
@@ -320,7 +365,7 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
         pool = ThreadPoolExecutor(max_workers=len(ACTION_ORDER))
     try:
         for i in range(config.rollouts):
-            events.append(rollout(tree, config, backends, budget, i, pool))
+            events.append(rollout(tree, config, backends, budget, i, pool, searches))
     except BackendUnreachableError as exc:
         trace = _build_trace(question, config, tree, events, {"error": str(exc)}, budget)
         raise PartialResultError(str(exc), trace) from exc
@@ -359,8 +404,7 @@ def validate_trace(trace: dict) -> None:
     for n in trace["nodes"]:
         if n["depth"] > config.max_depth:
             raise ValueError(f"node {n['id']} exceeds max depth")
-        subq = int(n["state_summary"].split("subq=")[1].split(";")[0])
-        if subq > config.max_subquestions:
+        if n["subq"] > config.max_subquestions:
             raise ValueError(f"node {n['id']} exceeds max subquestions")
         if n["parent"] is not None:
             parent = nodes[n["parent"]]

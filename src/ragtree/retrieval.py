@@ -190,7 +190,10 @@ class ScriptedRetriever:
 
 class WebSearchRetriever:
     """Thin HTTP GET search client; expects {"results": [{id, text}]}, in
-    rank order. Other row fields are ignored."""
+    rank order. Other row fields are ignored. A row whose id or text is
+    missing or null, or whose id repeats an earlier row's, is dropped, as
+    ``LocalIndex.from_jsonl`` rejects such lines; the first ``top_k`` rows
+    kept are returned."""
 
     def __init__(
         self,
@@ -218,11 +221,14 @@ class WebSearchRetriever:
                     self.endpoint, params=params, headers=headers, timeout=30.0
                 )
                 resp.raise_for_status()
-                rows = resp.json().get("results", [])
-                return [
-                    Document(doc_id=str(r.get("id", i)), text=str(r.get("text", "")))
-                    for i, r in enumerate(rows[:top_k])
-                ]
+                documents: dict[str, Document] = {}
+                for row in resp.json().get("results", []):
+                    if len(documents) == top_k:
+                        break
+                    doc_id, text = row.get("id"), row.get("text")
+                    if doc_id is not None and text is not None:
+                        documents.setdefault(str(doc_id), Document(str(doc_id), str(text)))
+                return list(documents.values())
             # A reply of the wrong shape (a list body, null results,
             # non-object rows) fails to parse with TypeError or
             # AttributeError; it is malformed, so it is retried like an outage.

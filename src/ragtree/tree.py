@@ -166,6 +166,7 @@ class SearchTree:
                 "positive": n.positive_reward,
                 "terminal": n.terminal,
                 "pruned": n.pruned,
+                "subq": n.state.subquestion_count,
                 "state_summary": n.state.summary(),
             }
             for n in self._nodes

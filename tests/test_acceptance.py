@@ -260,6 +260,5 @@ def test_criterion_depth_and_subquestion_bounds(worlds):
         validate_trace(trace)
         for node in trace["nodes"]:
             assert node["depth"] <= 5, name
-            subq = int(node["state_summary"].split("subq=")[1].split(";")[0])
-            assert subq <= 2, name
+            assert node["subq"] <= 2, name
     _done("depth <= 5 and subquestions <= 2 hold on every trace; validator accepts all")

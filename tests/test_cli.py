@@ -222,6 +222,15 @@ class TestMainWorldsMode:
         for path in sorted(out_a.iterdir()):
             assert path.read_bytes() == (out_b / path.name).read_bytes(), path.name
 
+    def test_unwritable_trace_path_exits_2_naming_it(self, tmp_path, capsys):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        shutil.copy(FIXTURES / "no-retrieval-00.json", worlds_dir)
+        blocked = tmp_path / "out" / "no-retrieval-00.trace.json"
+        blocked.mkdir(parents=True)  # a directory where the trace file goes
+        assert main(["--worlds", str(worlds_dir), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: cannot write trace to {blocked}: " in capsys.readouterr().err
+
     def test_missing_inputs_exit_2(self, tmp_path, capsys):
         assert main(["--out-dir", str(tmp_path)]) == 2
         assert main(["--worlds", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path)]) == 2
@@ -369,7 +378,7 @@ class TestMainDatasetMode:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "accuracy=1.0000" in out
-        assert "avg_retriever_calls=2.0" in out
+        assert "avg_retriever_calls=1.0" in out
         assert LocalIndex.from_jsonl(corpus).search(query, 10) == [Document(doc_id, text)]
 
     @pytest.mark.parametrize(
@@ -571,7 +580,12 @@ class TestCliProcess:
         assert "accuracy=1.0000" in proc.stdout
         metrics = json.loads((out_dir / "metrics.json").read_text())["metrics"]
         assert metrics["accuracy"] == 1.0
-        assert metrics["avg_retriever_calls"] == 2.0
+        # A4 and A5 each keep a retrieval record of the one query searched.
+        assert metrics["avg_retriever_calls"] == 1.0
+        trace = json.loads((out_dir / "g0.trace.json").read_text())
+        records = [r for e in trace["rollouts"] for r in e.get("retrieval", [])]
+        assert len(records) == 2 and len({r["query"] for r in records}) == 1
+        assert trace["budget"]["retriever_calls"] == 1
 
     @pytest.mark.parametrize(
         "first, second",

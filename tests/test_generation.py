@@ -4,7 +4,7 @@ import subprocess
 import sys
 import threading
 import time
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from ragtree.generation import (
     HttpBackend,
     ScriptedBackend,
     UnknownPromptError,
+    cluster_answers,
     count_tokens,
     equivalent,
     extract_answer,
@@ -73,7 +74,62 @@ class TestExtractAnswer:
         assert extract_answer(text) == reference_extract(text)
 
 
+def reference_normalize(text: str) -> str:
+    """Oracle: ``normalize_answer`` as it was before the digit check, trying
+    ``Decimal`` on every text."""
+    raw = text.strip()
+    try:
+        value = Decimal(raw.rstrip(".").strip())
+    except InvalidOperation:
+        pass
+    else:
+        if value.is_finite():
+            return format(value.normalize(), "f")
+    lowered = re.sub(r"[^0-9a-z\s]", " ", raw.lower())
+    return " ".join(w for w in lowered.split() if w not in ("a", "an", "the"))
+
+
+def reference_cluster(answers: list[str]) -> list[list[int]]:
+    """Oracle: greedy first-match clustering, comparing each answer with
+    each cluster's founder."""
+    clusters: list[list[int]] = []
+    for idx, answer in enumerate(answers):
+        for members in clusters:
+            if reference_normalize(answer) == reference_normalize(answers[members[0]]):
+                members.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    return clusters
+
+
+# Numerals Decimal accepts beyond ASCII digits, texts it parses but that are
+# not finite, and plain words.
+_ANSWER_TEXTS = st.one_of(
+    st.sampled_from(["١٢", "12", "1_000", "1000", "NaN", "nan.", "Infinity", "-inf",
+                     "sNaN", " 1e2 ", "100.", "the answer", "Paris", "²"]),
+    st.text(alphabet="0123456789١٢०_.eE+- aNinfty", max_size=8),
+    st.text(max_size=12),
+)
+
+
 class TestNormalizeAnswer:
+    @given(_ANSWER_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_reference_normalizer(self, text):
+        assert normalize_answer(text) == reference_normalize(text)
+
+    @given(st.lists(_ANSWER_TEXTS, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_clustering_matches_the_reference(self, answers):
+        assert cluster_answers(answers) == reference_cluster(answers)
+
+    def test_non_ascii_and_grouped_numerals(self):
+        assert normalize_answer("١٢") == normalize_answer("12") == "12"
+        assert normalize_answer("1_000") == "1000"
+        assert normalize_answer("NaN") == "nan"
+        assert normalize_answer("Infinity") == "infinity"
+
     def test_numeric_canonicalization(self):
         assert normalize_answer("42") == normalize_answer("42.0") == "42"
         assert normalize_answer("042") == "42"
@@ -260,6 +316,16 @@ class TestHttpBackend:
         backend = HttpBackend("http://lm.test/v1", model="m", session=session)
         with pytest.raises(BackendUnreachableError, match="after 3 attempts"):
             backend.sample("q", 1, seed=0)
+        assert len(session.calls) == 3
+
+    def test_negative_completion_tokens_are_retried_then_unreachable(self, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        payload = self.payload()
+        payload["usage"]["completion_tokens"] = -1
+        session = _StubSession([_StubResponse(payload)] * 3)
+        backend = HttpBackend("http://lm.test/v1", model="m", session=session)
+        with pytest.raises(BackendUnreachableError, match="tokens_consumed must be nonnegative"):
+            backend.sample("q", 2, seed=0)
         assert len(session.calls) == 3
 
     def test_list_body_ends_the_search_with_a_valid_partial_trace(self, monkeypatch):

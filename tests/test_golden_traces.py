@@ -4,9 +4,10 @@ rollouts 4, 8 and 16, in parallel and sequential mode.
 A refactor must leave every digest unchanged. A change that alters traces
 on purpose regenerates the file with ``PYTHONPATH=src python
 tests/test_golden_traces.py`` and says why in CHANGES.md. The last
-regeneration moved the traces to compact one-line JSON and to log-space
-trajectory scoring; each trace parses equal to the one before it except
-for ``final.scored``, whose shares moved by at most 3e-16 relative.
+regeneration added each node's ``subq`` field and ran each distinct query
+once per search; each trace parses equal to the one before it except for
+the new field and ``budget.retriever_calls``, which fell on the 60
+retrieval-gated traces (2 or 4 to 1) and rose on none.
 """
 import hashlib
 import json

@@ -1,13 +1,15 @@
 import json
-import re
+import sys
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import replace as dc_replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ragtree import orchestrator
 from ragtree.actions import ACTION_ORDER, ReasoningState
 from ragtree.cli import dump_trace, main
 from ragtree.config import BudgetReport, RunConfig
@@ -28,7 +30,7 @@ from ragtree.orchestrator import (
     run_search,
     validate_trace,
 )
-from ragtree.retrieval import LocalIndex, ScriptedRetriever
+from ragtree.retrieval import Document, LocalIndex, ScriptedRetriever
 from ragtree.tree import SearchTree
 from ragtree.worlds import RecordingBackend, World
 
@@ -430,8 +432,7 @@ class TestValidateTrace:
 
         def overflow(t):
             limit = t["config"]["max_subquestions"]
-            node = t["nodes"][1]
-            node["state_summary"] = re.sub(r"subq=\d+", f"subq={limit + 1}", node["state_summary"])
+            t["nodes"][1]["subq"] = limit + 1
 
         with pytest.raises(ValueError, match="max subquestions"):
             validate_trace(self.corrupt(trace, overflow))
@@ -505,6 +506,15 @@ class TestValidateTrace:
         with pytest.raises(ValueError, match="is not a child of node 0"):
             validate_trace(self.corrupt(trace, reselect))
 
+    def test_rejects_a_node_no_rollout_created(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"]).trace
+
+        def add_node(t):
+            t["nodes"].append(dict(t["nodes"][-1], id=len(t["nodes"])))
+
+        with pytest.raises(ValueError, match="the rollout events create .* nodes, the trace holds"):
+            validate_trace(self.corrupt(trace, add_node))
+
     def test_rejects_a_pruned_nonterminal_node(self, worlds):
         trace = run_world(worlds["consistency-trap-00"]).trace
 
@@ -574,7 +584,7 @@ class TestBranchFailures:
             "summarize": "   ",
         }
         result, lm, retriever, children = self.expand_root(replies)
-        assert retriever.calls == 2  # A4 and A5 each retrieved
+        assert retriever.calls == 1  # A4 and A5 share one query
         event = result.trace["rollouts"][0]
         failed = [children["A4"]["id"], children["A5"]["id"]]
         # The failed cycles stay in the trace: query, documents, verdict, blank summary.
@@ -597,7 +607,7 @@ class TestBranchFailures:
         """One rollout without a retriever, on a tree the test can read."""
         config = RunConfig(rollouts=1)
         tree = SearchTree(ReasoningState(question=self.QUESTION), max_depth=config.max_depth)
-        event = rollout(tree, config, Backends(_ByTag(replies)), BudgetReport(), 0, None)
+        event = rollout(tree, config, Backends(_ByTag(replies)), BudgetReport(), 0, None, {})
         children = [tree.node(cid) for cid in tree.root.children]
         return event, {child.incoming_action.code: child for child in children}
 
@@ -624,6 +634,179 @@ class TestBranchFailures:
         assert not a1.pruned
         assert a1.state.steps[-1].output_text == "Lyon, I think. The answer is: Lyon."
         assert a1.state.answered == "Lyon"
+
+
+class _QueryPerAction(_ByTag):
+    """``_ByTag`` that admits every retrieval; the root's A4 and A5 each ask
+    the query that ``queries`` gives for their code."""
+
+    def __init__(self, queries: dict[str, str]):
+        super().__init__({
+            "necessity": "Yes.",
+            "reflect": "Evaluation: relevant.",
+            "summarize": "Paris is the capital of France.",
+        })
+        self._queries = {derive_seed(0, 0, code, "query"): q for code, q in queries.items()}
+
+    def sample(self, prompt, k, seed, tag=""):
+        if tag != "query":
+            return super().sample(prompt, k, seed, tag)
+        completion = Completion(text=f"The query is: {self._queries[seed]}", answer=None)
+        return GenerationOutcome(completions=(completion,) * k, tokens_consumed=k)
+
+
+class _HeldRetriever:
+    """A ``ScriptedRetriever`` whose searches first wait, for at most 5 s,
+    on ``hold`` (if given), noting whether it was set, and then raise
+    ``error`` (if given)."""
+
+    def __init__(self, script, hold=None, error=None):
+        self._inner = ScriptedRetriever(script)
+        self._hold = hold
+        self._error = error
+        self.held: list[bool] = []
+
+    def search(self, query, top_k):
+        self.held.append(self._hold is None or self._hold.wait(5))
+        if self._error is not None:
+            raise self._error
+        return self._inner.search(query, top_k)
+
+
+@pytest.fixture
+def early_reads(monkeypatch):
+    """(reads, waiting): each outcome, documents or exception, that a search
+    read from a query's shared future before the future was set, and an
+    event set at the first such read."""
+    reads = []
+    waiting = threading.Event()
+
+    class Watched(Future):
+        def result(self, timeout=None):
+            if self.done():
+                return super().result(timeout)
+            waiting.set()
+            try:
+                value = super().result(timeout)
+            except Exception as exc:
+                reads.append(exc)
+                raise
+            reads.append(value)
+            return value
+
+    monkeypatch.setattr(orchestrator, "Future", Watched)
+    return reads, waiting
+
+
+class TestQueryReuse:
+    QUESTION = TestBranchFailures.QUESTION
+    DOCS = {"capital of France": [("d1", "Paris is the capital of France.")],
+            "France capital": [("d1", "Paris is the capital of France.")]}
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("a5_query, calls", [("capital of France", 1), ("France capital", 2)])
+    def test_root_searches_each_distinct_query_once(self, parallel, a5_query, calls):
+        lm = _QueryPerAction({"A4": "capital of France", "A5": a5_query})
+        retriever = ScriptedRetriever(self.DOCS)
+        config = RunConfig(rollouts=1, parallel_expansion=parallel)
+        result = run_search(self.QUESTION, config, Backends(lm, retriever))
+        assert retriever.calls == result.budget.retriever_calls == calls
+        # Each node keeps its own record and its own seeded reflect and summarize calls.
+        records = result.trace["rollouts"][0]["retrieval"]
+        assert [(r["record_id"], r["query"], r["documents"]) for r in records] == [
+            ("n0-A4", "capital of France", ["d1"]),
+            ("n0-A5", a5_query, ["d1"]),
+        ]
+        assert len(lm.prompts["reflect"]) == len(lm.prompts["summarize"]) == 2
+        validate_trace(result.trace)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_a_query_repeated_deeper_is_not_searched_again(self, worlds, parallel):
+        for name, world in worlds.items():
+            backends = pooled(world.backends())
+            trace = run_world(world, backends, rollouts=16, parallel_expansion=parallel).trace
+            records = [r for e in trace["rollouts"] for r in e.get("retrieval", [])]
+            queries = {r["query"] for r in records}
+            assert backends.retriever.calls == trace["budget"]["retriever_calls"] == len(queries), name
+            if name == "retrieval-gated-00":
+                depth = {n["id"]: n["depth"] for n in trace["nodes"]}
+                assert sorted(depth[r["node"]] for r in records) == [1, 1, 2, 2]
+                assert queries == {"secret codeword of Auria"}
+
+    def test_pooled_siblings_share_one_search_in_flight(self, worlds, early_reads):
+        reads, waiting = early_reads
+        world = worlds["retrieval-gated-00"]
+        backends = world.backends()
+        # The one search holds until a sibling waits on it, so the sibling
+        # reads the shared future before its result is set.
+        held = _HeldRetriever(world.retriever_script, hold=waiting)
+        result = run_world(world, Backends(backends.lm, held), rollouts=16)
+        assert held.held == [True]
+        assert len(reads) == 1 and [d.doc_id for d in reads[0]] == ["gazette-0"]
+        assert result.budget.retriever_calls == 1
+        sequential = run_world(world, rollouts=16, parallel_expansion=False)
+        assert result.trace["config"].pop("parallel_expansion") is True
+        assert sequential.trace["config"].pop("parallel_expansion") is False
+        assert trace_json(result.trace) == trace_json(sequential.trace)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_a_raising_search_reaches_every_evaluation_that_asked(self, early_reads, parallel):
+        reads, waiting = early_reads
+        lm = _QueryPerAction({"A4": "capital of France", "A5": "capital of France"})
+        retriever = _HeldRetriever(
+            self.DOCS, hold=waiting if parallel else None, error=RuntimeError("index offline")
+        )
+        config = RunConfig(rollouts=1, parallel_expansion=parallel)
+        with pytest.raises(RuntimeError, match="index offline"):
+            run_search(self.QUESTION, config, Backends(lm, retriever))
+        assert retriever.held == [True]
+        # In sequential mode the first failure ends the rollout before A5 asks.
+        assert [str(r) for r in reads] == (["index offline"] if parallel else [])
+
+    def test_concurrent_askers_share_one_search_per_query(self):
+        # More threads than cores, switching often: a check-then-insert race
+        # would run some query twice.
+        class Logged:
+            def __init__(self):
+                self.queries = []
+
+            def search(self, query, top_k):
+                self.queries.append(query)
+                return [Document(f"d-{query}", query)]
+
+        retriever = Logged()
+        searches = {}
+        budgets = [BudgetReport() for _ in range(8)]
+        got = [[] for _ in budgets]
+
+        def ask(t):
+            for i in range(2000):
+                got[t].append(orchestrator._search_once(f"q{i}", retriever, 1, searches, budgets[t]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(t,)) for t in range(len(budgets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(answers) == 2000 for answers in got)
+        assert sorted(retriever.queries) == sorted(f"q{i}" for i in range(2000))
+        assert sum(b.retriever_calls for b in budgets) == 2000
+        assert all(docs is got[0][i] for answers in got for i, docs in enumerate(answers))
+
+    def test_no_reuse_across_searches_on_one_backends(self, worlds):
+        world = worlds["retrieval-gated-00"]
+        backends = world.backends()
+        first = run_world(world, backends)
+        second = run_world(world, backends)
+        assert backends.retriever.calls == 2
+        assert first.budget.retriever_calls == second.budget.retriever_calls == 1
+        assert trace_json(first.trace) == trace_json(second.trace)
 
 
 class TestRewardUnderflow:

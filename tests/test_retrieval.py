@@ -334,6 +334,26 @@ class TestWebSearchRetriever:
         assert retriever.search("q", top_k=3) == [Document(doc_id="w1", text="fact")]
         assert session.calls == 1
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"text": "fact"},
+            {"id": None, "text": "fact"},
+            {"id": "w0"},
+            {"id": "w0", "text": None},
+            {"id": "w2", "text": "a second text under w2"},
+        ],
+        ids=["missing-id", "null-id", "missing-text", "null-text", "repeated-id"],
+    )
+    def test_drops_a_row_that_the_corpus_loader_rejects(self, row):
+        rows = [{"id": "w1", "text": "first"}, {"id": "w2", "text": "second"}, row,
+                {"id": "w3", "text": "third"}]
+        session = _StubSession([_StubResponse({"results": rows})])
+        retriever = WebSearchRetriever("http://search.test", session=session)
+        want = [Document("w1", "first"), Document("w2", "second"), Document("w3", "third")]
+        assert retriever.search("q", top_k=3) == want
+        assert session.calls == 1
+
     def test_degrades_to_empty_after_retries(self):
         session = _StubSession([_StubResponse({}, status=500)] * 3)
         retriever = WebSearchRetriever("http://search.test", session=session)
