@@ -9,8 +9,10 @@ import logging
 import math
 import os
 import re
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
@@ -84,35 +86,60 @@ class LocalIndex:
     """In-memory inverted index scoring sum(tf * ln(1 + N/df)) over query
     terms, ranked by (-score, doc_id).
 
-    Building it is one pass over the corpus that precomputes, for each
-    term, every containing document's contribution tf * ln(1 + N/df);
-    documents with the same tf share one float. Documents are numbered in
-    (doc_id, input position) order, so ranking by (-score, number) breaks
-    ties by doc_id. A search adds up the contributions of the documents
-    that share a query term. Immutable after construction, so concurrent
-    searches are safe."""
+    Building it is one pass over the corpus that appends each token's
+    document number to its term's ``array("I")``, 4 bytes an occurrence;
+    repeats encode tf. Documents are numbered in (doc_id, input position)
+    order, so ranking by (-score, number) breaks ties by doc_id. A term's
+    first search turns its array into a posting, every containing
+    document's contribution tf * ln(1 + N/df), documents with the same tf
+    sharing one float; later searches reuse it. A search adds up the
+    contributions of the documents that share a query term.
+
+    Concurrent searches are safe: each step is one atomic dict operation,
+    and an installed posting never changes. ``setdefault`` gives every
+    search that built a term's posting the one installed first, and the
+    term's array is dropped only after that install, so a search that finds
+    no array looks for the posting again before treating the term as
+    absent."""
 
     def __init__(self, documents: list[tuple[str, str]]):
         # sorted() is stable: documents of one doc_id keep their input order.
         self._docs = sorted(documents, key=itemgetter(0))
-        numbers: defaultdict[str, list[int]] = defaultdict(list)
+        occurrences: defaultdict[str, array[int]] = defaultdict(partial(array, "I"))
         for number, (_, text) in enumerate(self._docs):
             for term in tokenize(text):
-                numbers[term].append(number)
-        n_docs = len(self._docs)
+                occurrences[term].append(number)
+        self._occurrences = dict(occurrences)
+        # Every posting keys a document by this one int object. Merging
+        # postings then matches keys by identity, not by comparing values.
+        self._numbers = list(range(len(self._docs)))
         self._postings: dict[str, dict[int, float]] = {}
-        for term, occurrences in numbers.items():
-            tf = Counter(occurrences)
-            occurrences.clear()  # lowers the build's peak memory
-            weight = math.log(1.0 + n_docs / len(tf))
-            share = {count: count * weight for count in set(tf.values())}
-            self._postings[term] = dict(zip(tf, map(share.__getitem__, tf.values())))
+
+    def _posting(self, term: str) -> dict[int, float] | None:
+        """The term's {document number: contribution}, built on first use;
+        None if no document holds the term."""
+        posting = self._postings.get(term)
+        if posting is not None:
+            return posting
+        occurrences = self._occurrences.get(term)
+        if occurrences is None:
+            # A concurrent search may have installed the posting and dropped
+            # the array since the lookup above.
+            return self._postings.get(term)
+        tf = Counter(occurrences)
+        weight = math.log(1.0 + len(self._docs) / len(tf))
+        share = {count: count * weight for count in set(tf.values())}
+        built = dict(zip(map(self._numbers.__getitem__, tf), map(share.__getitem__, tf.values())))
+        posting = self._postings.setdefault(term, built)
+        self._occurrences.pop(term, None)
+        return posting
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndex":
         """One document per nonblank line, ``{"doc_id": ..., "text": ...}``.
         ``doc_id`` is a string or an integer and unique; ``text`` is a
-        string. Anything else raises ``RetrievalError`` naming the line."""
+        string. Anything else raises ``RetrievalError`` naming the line, and
+        a file with no documents raises it naming the file."""
         documents = []
         first_line: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
@@ -133,6 +160,8 @@ class LocalIndex:
                     raise RetrievalError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
                 first_line[doc_id] = lineno
                 documents.append((doc_id, text))
+        if not documents:
+            raise RetrievalError(f"{path}: corpus is empty")
         return cls(documents)
 
     def __len__(self) -> int:
@@ -148,7 +177,7 @@ class LocalIndex:
         # only ever copied, never written.
         acc: dict[int, float] = {}
         for term in tokenize(query):
-            posting = self._postings.get(term)
+            posting = self._posting(term)
             if posting is None:
                 continue
             if len(posting) > len(acc):

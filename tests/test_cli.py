@@ -434,6 +434,26 @@ class TestMainDatasetMode:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.trace.json"))
 
+    def test_empty_corpus_exits_2_naming_the_file(self, tmp_path, worlds, capsys):
+        world = worlds["retrieval-gated-00"]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "g0", "question": world.question, "gold_answer": world.gold})
+            + "\n",
+            encoding="utf-8",
+        )
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(world.lm_script), encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n  \n\n", encoding="utf-8")
+        argv = ["--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                "--lm-scripted", str(script_path), "--corpus", str(corpus)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {corpus}: corpus is empty\n"
+        assert "accuracy=" not in captured.out
+        assert not list(tmp_path.rglob("*.trace.json"))
+
     def test_bad_corpus_line_exits_2_with_line_number(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")

@@ -1,7 +1,11 @@
+import itertools
 import json
 import math
 import random
 import re
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import pytest
@@ -162,6 +166,44 @@ class TestLocalIndexCommonTerm:
         for query in rng.choices(_COMMON_QUERIES, k=40) + _COMMON_QUERIES:
             assert index.search(query, 25) == fresh[query] == scans[query][:25]
 
+    def test_concurrent_first_searches_match_the_scan(self, corpus):
+        # More threads than cores, switching often, on a fresh index each
+        # round. Every thread searches the queries in the round's order, so
+        # all of them race on the first search of each term. A search that
+        # found a term's array gone before its posting was installed, or
+        # that did not look for the posting again, would treat the term as
+        # absent.
+        documents, _, scans = corpus
+        index = [None]
+        rounds = 16 * len(_COMMON_QUERIES)
+
+        def fresh_index():
+            index[0] = LocalIndex(documents)
+
+        barrier = threading.Barrier(8, action=fresh_index, timeout=30)
+        results = [[] for _ in range(barrier.parties)]
+
+        def search(t):
+            for r in range(rounds):
+                barrier.wait()
+                first = r % len(_COMMON_QUERIES)
+                for query in _COMMON_QUERIES[first:] + _COMMON_QUERIES[:first]:
+                    results[t].append((query, index[0].search(query, 25)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(t,)) for t in range(barrier.parties)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(got) == rounds * len(_COMMON_QUERIES) for got in results)
+        assert all(docs == scans[query][:25] for got in results for query, docs in got)
+
 
 class TestLocalIndex:
     def make_index(self):
@@ -227,6 +269,13 @@ class TestLocalIndex:
         index = LocalIndex.from_jsonl(corpus)
         assert len(index) == 2
 
+    @pytest.mark.parametrize("content", ["", "\n", " \n\t\n\n"])
+    def test_from_jsonl_empty_corpus_names_the_file(self, tmp_path, content):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(content, encoding="utf-8")
+        with pytest.raises(RetrievalError, match=re.escape(f"{corpus}: corpus is empty")):
+            LocalIndex.from_jsonl(corpus)
+
     def test_from_jsonl_reports_line_number(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"doc_id": "d1", "text": "cat"}\nnot json\n', encoding="utf-8")
@@ -275,6 +324,27 @@ class TestLocalIndex:
     def test_search_rejects_top_k_below_one(self, top_k):
         with pytest.raises(RetrievalError, match="top_k"):
             self.make_index().search("cat", top_k=top_k)
+
+    def test_retains_at_most_12_bytes_per_token(self):
+        # An occurrence array takes 4 bytes a token, about 6 with the term
+        # dict and strings; a {document: contribution} dict for every term
+        # takes about 29.
+        rng = random.Random(22)
+        vocabulary = [f"w{i}" for i in range(3000)]
+        zipf = list(itertools.accumulate(1.0 / (rank + 1) for rank in range(len(vocabulary))))
+        documents = [
+            (f"d{i:04d}", " ".join(rng.choices(vocabulary, cum_weights=zipf, k=100)))
+            for i in range(3000)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = LocalIndex(documents)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 3000
+        assert retained <= 12 * 3000 * 100
 
 
 class TestScriptedRetriever:
