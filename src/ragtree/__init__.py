@@ -11,7 +11,6 @@ from .generation import (
 )
 from .orchestrator import NO_ANSWER, Backends, SearchResult, run_search
 from .retrieval import LocalIndex, ScriptedRetriever, WebSearchRetriever
-from .tree import SearchNode, SearchTree, uct_score
 
 __all__ = [
     "ActionKind",
@@ -28,14 +27,11 @@ __all__ = [
     "RunConfig",
     "ScriptedBackend",
     "ScriptedRetriever",
-    "SearchNode",
     "SearchResult",
-    "SearchTree",
     "WebSearchRetriever",
     "equivalent",
     "extract_answer",
     "run_search",
-    "uct_score",
 ]
 
 __version__ = "0.1.0"

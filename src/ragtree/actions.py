@@ -21,10 +21,6 @@ if TYPE_CHECKING:
     from .retrieval import RetrievalRecord
 
 
-class ActionError(Exception):
-    """Illegal action use: bad preconditions or malformed model output."""
-
-
 class ActionKind(Enum):
     DIRECT_ANSWER = "A1"
     QUICK_REASONING = "A2"
@@ -50,19 +46,11 @@ class KnowledgeItem:
     text: str
     sufficient: bool = False
 
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("knowledge item text must be nonempty")
-
 
 @dataclass(frozen=True)
 class ReasoningStep:
     action: ActionKind
     output_text: str
-
-    def __post_init__(self):
-        if not self.output_text:
-            raise ValueError("step output_text must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -98,15 +86,8 @@ def load_template(name: str) -> str:
 
 
 def fill_template(template: str, values: dict[str, str]) -> str:
-    """Substitute {placeholder} slots; unknown slots are an error."""
-
-    def sub(m: re.Match) -> str:
-        key = m.group(1)
-        if key not in values:
-            raise ActionError(f"unsubstituted placeholder {{{key}}}")
-        return values[key]
-
-    return _PLACEHOLDER.sub(sub, template)
+    """Substitute {placeholder} slots; an unknown slot raises KeyError."""
+    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
 
 
 def context_block(state: ReasoningState, pending_knowledge: str | None = None) -> str:
@@ -134,8 +115,6 @@ def legal_actions(
     (``config.disabled_actions``) are removed last; a validated config keeps
     A1 or A2 enabled, so the result is never empty.
     """
-    if state.answered is not None:
-        raise ActionError("state is terminal; no legal actions")
     allowed: list[ActionKind] = []
     can_decompose = state.subquestion_count < config.max_subquestions
     for action in ACTION_ORDER:
@@ -164,8 +143,6 @@ def render_prompt(
     generation). A4 reuses the step-by-step answer template and A5 the
     decomposition template, both with the retrieved context in scope.
     """
-    if not state.question.strip():
-        raise ActionError("cannot render a prompt for an empty question")
     block = context_block(state, pending_knowledge)
     if action is ActionKind.DIRECT_ANSWER:
         return fill_template(load_template("a1.txt"), {"examples": "", "instruction": block})
@@ -196,8 +173,6 @@ def apply_action(
     answer; A3/A5 consume one sub-question slot; A4/A5 commit the admitted
     retrieval summary (if any) into the knowledge list.
     """
-    if action is ActionKind.DIRECT_ANSWER and completion.answer is None:
-        raise ActionError("direct-answer output lacks 'The answer is' marker")
     step = ReasoningStep(action=action, output_text=completion.text)
     knowledge = state.knowledge
     if action in RETRIEVAL_ACTIONS and retrieval is not None and retrieval.summary:

@@ -8,10 +8,6 @@ from .generation import cluster_answers
 from .tree import SearchTree
 
 
-class AggregationError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Trajectory:
     node_path: tuple[int, ...]
@@ -38,8 +34,6 @@ def extract_trajectories(tree: SearchTree) -> list[Trajectory]:
 def group_answers(trajectories: list[Trajectory]) -> list[list[Trajectory]]:
     """Group trajectories with ``cluster_answers``; a group is named by its
     first trajectory's answer."""
-    if not trajectories:
-        raise AggregationError("no trajectories to group")
     groups = cluster_answers([t.answer for t in trajectories])
     return [[trajectories[i] for i in m] for m in groups]
 
@@ -48,8 +42,6 @@ def score_answers(groups: list[list[Trajectory]]) -> list[tuple[str, float]]:
     """Each group's share of the total trajectory reward; shares sum to 1.
     Rewards are taken relative to the largest, as exp(log_reward - max), so
     the largest term is 1 and the total never underflows to 0."""
-    if not groups:
-        raise AggregationError("no answer groups to score")
     top = max(t.log_reward for g in groups for t in g)
     totals = [math.fsum(math.exp(t.log_reward - top) for t in g) for g in groups]
     grand_total = math.fsum(totals)
@@ -59,6 +51,4 @@ def score_answers(groups: list[list[Trajectory]]) -> list[tuple[str, float]]:
 def select_best(scored: list[tuple[str, float]]) -> str:
     """Maximal score; exact ties keep the earlier entry, which corresponds
     to the group whose first trajectory terminated earliest."""
-    if not scored:
-        raise AggregationError("no scored answers")
     return max(scored, key=lambda item: item[1])[0]

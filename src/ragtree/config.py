@@ -71,9 +71,7 @@ class BudgetReport:
     retriever_calls: int = 0
 
     def add_generation(self, tokens: int) -> None:
-        """Charge one LM call that generated ``tokens`` tokens."""
-        if tokens < 0:
-            raise ValueError("budget increments must be nonnegative")
+        """Charge one LM call; ``GenerationOutcome`` keeps ``tokens`` >= 0."""
         self.tokens_generated += tokens
         self.lm_calls += 1
 

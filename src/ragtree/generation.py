@@ -19,15 +19,11 @@ if TYPE_CHECKING:
     import requests
 
 
-class GenerationError(Exception):
-    pass
-
-
-class BackendUnreachableError(GenerationError):
+class BackendUnreachableError(Exception):
     """Remote backend failed after bounded retries."""
 
 
-class UnknownPromptError(GenerationError):
+class UnknownPromptError(Exception):
     """Scripted backend has no entry for a rendered prompt (closed-world break)."""
 
     def __init__(self, key: str, prompt: str, tag: str):

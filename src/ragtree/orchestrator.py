@@ -227,7 +227,7 @@ def _evaluate_action(
     if not answered:
         return _failed(action, state, outcome.completions[0].text, budget, "malformed batch")
     node_reward = compute_reward(cluster_completions(answered), answered)
-    # Drawn from ``answered``, so apply_action's missing-answer check cannot fire.
+    # Drawn from ``answered``, so an A1 step always carries its answer.
     representative = answered[node_reward.majority[0]]
     new_state = apply_action(state, action, representative, retrieval=record)
     pruned = consistency_prune(node_reward, config.tau_prune)
@@ -351,7 +351,7 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
         raise ValueError("question must be nonempty")
     config.validate()
     budget = BudgetReport()
-    tree = SearchTree(ReasoningState(question=question), max_depth=config.max_depth)
+    tree = SearchTree(ReasoningState(question=question))
     events: list[dict] = []
     # Never kept on ``backends``, which serves every question of a batch.
     searches: dict[str, Future] = {}
@@ -392,12 +392,14 @@ def validate_trace(trace: dict) -> None:
     parent, no disabled action, terminal nodes childless, pruned nodes
     terminal. Rollout events: an expanding event's children are the next
     node ids, in order, each a child of the event's selected node, and
-    every node but the root comes from one. Backprops: their leaves are
-    each expanding event's children and each other event's selected node,
-    in event order, and replaying them reproduces every node's ``n`` and
-    ``q`` exactly: the replay repeats the tree's float additions in the
-    same order. So the root's ``n`` is the number of backprops. A trace
-    whose ``final`` holds no error made ``config.rollouts`` rollouts."""
+    every node but the root comes from one. No node is expanded twice, and
+    an event that does not expand selects a terminal node. Backprops: their
+    leaves are each expanding event's children and each other event's
+    selected node, in event order, and replaying them reproduces every
+    node's ``n`` and ``q`` exactly: the replay repeats the tree's float
+    additions in the same order. So the root's ``n`` is the number of
+    backprops. A trace whose ``final`` holds no error made
+    ``config.rollouts`` rollouts."""
     config = RunConfig.from_dict(trace["config"])
     nodes = {n["id"]: n for n in trace["nodes"]}
     has_children = set()
@@ -419,10 +421,13 @@ def validate_trace(trace: dict) -> None:
         if nodes[nid]["terminal"]:
             raise ValueError(f"terminal node {nid} has children")
     leaves = []
+    expanded = set()
     next_id = 1
     for index, event in enumerate(trace["rollouts"]):
         selected, children = event["selected"], event["children"]
         if not event["expanded"]:
+            if not nodes[selected]["terminal"]:
+                raise ValueError(f"rollout {index} does not expand open node {selected}")
             leaves.append(selected)
             continue
         if children != list(range(next_id, next_id + len(children))):
@@ -430,6 +435,9 @@ def validate_trace(trace: dict) -> None:
         for cid in children:
             if nodes[cid]["parent"] != selected:
                 raise ValueError(f"node {cid} of rollout {index} is not a child of node {selected}")
+        if selected in expanded:
+            raise ValueError(f"rollout {index} expands node {selected} a second time")
+        expanded.add(selected)
         leaves.extend(children)
         next_id += len(children)
     if next_id != len(trace["nodes"]):

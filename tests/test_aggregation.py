@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ragtree.actions import ActionKind, ReasoningState
 from ragtree.aggregation import (
-    AggregationError,
     Trajectory,
     extract_trajectories,
     group_answers,
@@ -27,7 +26,7 @@ def answered_state(answer):
 class TestExtractTrajectories:
     def build_tree(self):
         """Root -> [answered leaf, reasoning node]; reasoning -> answered leaf."""
-        tree = SearchTree(ReasoningState(question="q?"), max_depth=5)
+        tree = SearchTree(ReasoningState(question="q?"))
         tree.expand(
             tree.root,
             [
@@ -72,7 +71,7 @@ class TestExtractTrajectories:
         assert by_answer["b"].node_path == (0, 2, 3)
 
     def test_pruned_and_unanswered_excluded(self):
-        tree = SearchTree(ReasoningState(question="q?"), max_depth=5)
+        tree = SearchTree(ReasoningState(question="q?"))
         tree.expand(
             tree.root,
             [
@@ -103,10 +102,6 @@ class TestGroupAnswers:
         )
         assert [g[0].answer for g in groups] == ["42", "Paris"]
         assert len(groups[0]) == 2
-
-    def test_empty_errors(self):
-        with pytest.raises(AggregationError):
-            group_answers([])
 
 
 class TestScoreAnswers:
@@ -153,10 +148,6 @@ class TestSelectBest:
 
     def test_tie_keeps_earliest(self):
         assert select_best([("a", 0.5), ("b", 0.5)]) == "a"
-
-    def test_empty_errors(self):
-        with pytest.raises(AggregationError):
-            select_best([])
 
     @given(
         st.lists(

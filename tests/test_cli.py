@@ -304,11 +304,14 @@ class TestMainWorldsMode:
                 "name": "w", "question": "Q?", "gold": "a", "lm_script": {},
                 "retriever_script": {}, "config_overrides": {"c_uct": float("nan")},
             }), ": malformed 'config_overrides': c_uct must be finite"),
+            ("--worlds", json.dumps({
+                "name": "w", "question": "Q?", "gold": 42, "lm_script": {}, "retriever_script": {},
+            }), ": malformed 'gold': "),
         ],
         ids=["dataset-choices-string", "dataset-choices-number", "dataset-choices-strings",
              "dataset-choices-object", "dataset-choices-single", "dataset-choices-triple",
              "dataset-choices-number-text", "dataset-row-list",
-             "world-lm-entry-short", "world-c-uct-nan"],
+             "world-lm-entry-short", "world-c-uct-nan", "world-gold-number"],
     )
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):
         inputs = tmp_path / "inputs"

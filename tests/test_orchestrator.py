@@ -506,6 +506,41 @@ class TestValidateTrace:
         with pytest.raises(ValueError, match="is not a child of node 0"):
             validate_trace(self.corrupt(trace, reselect))
 
+    def test_rejects_an_open_node_selected_without_expansion(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+
+        def reopen(t):
+            nodes = t["nodes"]
+            event = next(
+                e for e in t["rollouts"] if not e["expanded"] and not nodes[e["selected"]]["pruned"]
+            )
+            nodes[event["selected"]]["terminal"] = False
+
+        with pytest.raises(ValueError, match=r"rollout \d+ does not expand open node \d+"):
+            validate_trace(self.corrupt(trace, reopen))
+
+    def test_rejects_a_node_expanded_twice(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+
+        def reexpand_root(t):
+            nodes = t["nodes"]
+            event = [e for e in t["rollouts"] if e["expanded"]][-1]
+            event["selected"] = 0
+            for cid in event["children"]:
+                nodes[cid].update(parent=0, depth=1)
+            # Recount n and q as the tree would, so only the double expansion is wrong.
+            for n in nodes:
+                n["n"], n["q"] = 0, 0.0
+            for leaf, reward in t["backprops"]:
+                nid = leaf
+                while nid is not None:
+                    nodes[nid]["n"] += 1
+                    nodes[nid]["q"] += reward
+                    nid = nodes[nid]["parent"]
+
+        with pytest.raises(ValueError, match=r"rollout \d+ expands node 0 a second time"):
+            validate_trace(self.corrupt(trace, reexpand_root))
+
     def test_rejects_a_node_no_rollout_created(self, worlds):
         trace = run_world(worlds["no-retrieval-00"]).trace
 
@@ -606,7 +641,7 @@ class TestBranchFailures:
     def expand_bare_root(self, replies):
         """One rollout without a retriever, on a tree the test can read."""
         config = RunConfig(rollouts=1)
-        tree = SearchTree(ReasoningState(question=self.QUESTION), max_depth=config.max_depth)
+        tree = SearchTree(ReasoningState(question=self.QUESTION))
         event = rollout(tree, config, Backends(_ByTag(replies)), BudgetReport(), 0, None, {})
         children = [tree.node(cid) for cid in tree.root.children]
         return event, {child.incoming_action.code: child for child in children}

@@ -19,9 +19,7 @@ from ragtree.retrieval import (
     Document,
     LocalIndex,
     RetrievalError,
-    RetrievalRecord,
     ScriptedRetriever,
-    Verdict,
     WebSearchRetriever,
     consistency_prune,
     execute_query,
@@ -440,26 +438,6 @@ class TestWebSearchRetriever:
         retriever = WebSearchRetriever("http://search.test", session=session)
         assert retriever.search("q", top_k=3) == []
         assert session.calls == 3
-
-
-class TestRetrievalRecord:
-    def test_summary_iff_admit(self):
-        with pytest.raises(ValueError):
-            RetrievalRecord(
-                record_id="r",
-                query="q",
-                documents=(),
-                verdict=Verdict(admit=True, sufficient=False, rationale=""),
-                summary=None,
-            )
-        with pytest.raises(ValueError):
-            RetrievalRecord(
-                record_id="r",
-                query="q",
-                documents=(),
-                verdict=Verdict(admit=False, sufficient=False, rationale=""),
-                summary="s",
-            )
 
 
 def _prompt_for(fn, *args, **kwargs):

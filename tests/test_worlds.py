@@ -63,10 +63,15 @@ class TestFixtureFiles:
             ("config_overrides", {"rollouts": 0}),
             ("config_overrides", {"no_such_setting": 1}),
             ("name", 5),
+            ("question", 7),
+            ("gold", 42),
+            ("question", ""),
+            ("gold", ""),
         ],
         ids=["lm-entry-short", "lm-loglik-text", "lm-list", "lm-entry-empty", "lm-loglik-nan",
              "lm-entry-string", "retriever-entry-short", "retriever-entry-string",
-             "config-invalid", "config-unknown", "name-number"],
+             "config-invalid", "config-unknown", "name-number", "question-number",
+             "gold-number", "question-empty", "gold-empty"],
     )
     def test_build_world_names_malformed_field(self, tmp_path, field, value):
         data = {"name": "w", "question": "Q?", "gold": "a", "lm_script": {},
