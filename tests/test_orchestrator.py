@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragtree import orchestrator
-from ragtree.actions import ACTION_ORDER, ReasoningState
+from ragtree.actions import ACTION_ORDER, ActionKind, ReasoningState, is_terminal
 from ragtree.cli import dump_trace, main
 from ragtree.config import BudgetReport, RunConfig
 from ragtree.generation import (
@@ -373,6 +373,88 @@ class TestSingleWriter:
         assert {"__init__", "select_child", "backpropagate", "expand"} <= called
         # Not vacuous: the searches did hand backend calls to pool workers.
         assert any(ident != search_thread for ident in lm_threads)
+
+
+def _open_leaf(node, config):
+    return not node.terminal and not node.children and not is_terminal(node.state, config)
+
+
+# Each precondition that a callee states instead of checking, as
+# (owner, name, check(config, *args) -> bool). The engine must meet it on
+# every call, since nothing in the callee raises when it does not.
+_PRECONDITIONS = {
+    "legal_actions-open-state": (
+        orchestrator, "legal_actions", lambda config, state, *_: not is_terminal(state, config)
+    ),
+    "render_prompt-nonblank-question": (
+        orchestrator, "render_prompt", lambda config, action, state, *_: bool(state.question.strip())
+    ),
+    "apply_action-answering-step-has-answer": (
+        orchestrator,
+        "apply_action",
+        lambda config, state, action, completion, *_, **__: (
+            action not in (ActionKind.DIRECT_ANSWER, ActionKind.SUMMARIZED_ANSWER)
+            or completion.answer is not None
+        ),
+    ),
+    "select_child-expanded-node": (
+        SearchTree, "select_child", lambda config, tree, node, c: bool(node.children) and c >= 0
+    ),
+    "expand-open-leaf": (
+        SearchTree, "expand", lambda config, tree, node, realized: _open_leaf(node, config)
+    ),
+    "group_answers-nonempty": (
+        orchestrator, "group_answers", lambda config, trajectories: bool(trajectories)
+    ),
+    "select_best-nonempty": (orchestrator, "select_best", lambda config, scored: bool(scored)),
+    "retrieval_record-summary-iff-admit": (
+        orchestrator,
+        "RetrievalRecord",
+        lambda config, **fields: (fields["summary"] is not None) == fields["verdict"].admit,
+    ),
+    "add_generation-nonnegative": (
+        BudgetReport, "add_generation", lambda config, budget, tokens: tokens >= 0
+    ),
+}
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("case", sorted(_PRECONDITIONS))
+    def test_engine_meets_precondition_on_every_call(self, worlds, monkeypatch, case):
+        owner, name, check = _PRECONDITIONS[case]
+        fn = getattr(owner, name)
+        current: dict = {}
+        calls = []
+
+        def checked(*args, **kwargs):
+            # Fails at the first violating call, on whichever thread made it.
+            assert check(current["config"], *args, **kwargs), f"{name} called with {args} {kwargs}"
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, checked)
+        searches = []
+        for world in worlds.values():
+            for parallel in (False, True):
+                config = world.config(rollouts=16, parallel_expansion=parallel)
+                searches.append((world.question, config, pooled(world.backends())))
+        # Branch outcomes the shipped worlds may not reach: an answerless
+        # search, a batch whose first completion has no answer, and a
+        # retrieval cycle rejected or admitted with a blank summary.
+        cycle = {"necessity": "Yes.", "query": "The query is: capital of France"}
+        for replies in (
+            {code: "No commitment." for code in ("A1", "A2", "A3", "A4", "A5", "A6")},
+            {"A1": ["Hmm.", "Lyon, I think. The answer is: Lyon.", "Unsure.", "The answer is: Lyon."]},
+            {**cycle, "reflect": "Evaluation: not relevant."},
+            {**cycle, "reflect": "Evaluation: relevant.", "summarize": "   "},
+        ):
+            backends = Backends(_ByTag(replies), ScriptedRetriever(TestBranchFailures.DOCS))
+            searches.append((TestBranchFailures.QUESTION, RunConfig(rollouts=4), backends))
+        for question, config, backends in searches:
+            current["config"] = config
+            run_search(question, config, backends)
+        # Not vacuous: the searches did make the call.
+        assert calls
 
 
 class TestPartialResults:
