@@ -169,9 +169,11 @@ def apply_action(
 ) -> ReasoningState:
     """Produce the successor state for one executed action.
 
-    Pure: the input state is never mutated. Only A1/A6 can set the final
-    answer; A3/A5 consume one sub-question slot; A4/A5 commit the admitted
-    retrieval summary (if any) into the knowledge list.
+    Pure: the input state is never mutated. Only A1/A6 set the final
+    answer, and for them ``completion`` carries one (``answer`` is not
+    ``None``): the engine passes only answered completions. A3/A5 consume
+    one sub-question slot; A4/A5 commit the admitted retrieval summary (if
+    any) into the knowledge list.
     """
     step = ReasoningStep(action=action, output_text=completion.text)
     knowledge = state.knowledge
@@ -182,8 +184,7 @@ def apply_action(
     subq = state.subquestion_count + (1 if action in DECOMPOSE_ACTIONS else 0)
     answered = state.answered
     if action in (ActionKind.DIRECT_ANSWER, ActionKind.SUMMARIZED_ANSWER):
-        if completion.answer is not None:
-            answered = completion.answer
+        answered = completion.answer
     return replace(
         state,
         steps=state.steps + (step,),

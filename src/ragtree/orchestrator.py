@@ -7,6 +7,14 @@ concurrently but are committed to the tree strictly in canonical action
 order, and per-evaluation budget deltas are merged at commit time. The
 parallel and sequential modes therefore produce identical traces.
 
+The trace records one rollout event per expansion. A rollout whose descent
+ends on a terminal leaf revisits it: it backpropagates the leaf's reward
+again and leaves only that ``backprops`` entry. Once no leaf is open
+(neither terminal nor expanded), every later rollout would be such a
+revisit, so the search stops and records the next rollout index as
+``exhausted_at``. Voting reads only the terminal nodes' rewards, so
+stopping changes no answer.
+
 In parallel mode the retrieval-necessity gate call runs on the search
 thread while the siblings it does not gate (all but A4 and A5) already run
 on the search's pool, which has at most one worker per action (six). Only
@@ -257,7 +265,11 @@ def rollout(
     searches: dict[str, Future],
 ) -> dict:
     """One search iteration: descend to a leaf, expand it with all legal
-    actions, and backpropagate.
+    actions, and backpropagate. Returns the rollout event, with
+    ``"expanded": True``. A descent that ends on a terminal leaf revisits
+    it: its reward is backpropagated again, nothing is evaluated, and the
+    returned ``{"expanded": False}`` is not recorded, since the
+    ``backprops`` entry already says all that happened.
 
     Without ``pool`` the gate call comes first and the actions run inline
     in canonical order. With ``pool`` every action runs on the pool: the
@@ -268,11 +280,9 @@ def rollout(
     node = tree.root
     while node.children:
         node = tree.select_child(node, config.c_uct)
-    event: dict = {"rollout": index, "selected": node.id}
     if node.terminal:
         tree.backpropagate(node.id, node.last_raw_reward)
-        event.update({"expanded": False, "children": []})
-        return event
+        return {"expanded": False}
     state = node.state
     node_id = node.id
 
@@ -311,7 +321,12 @@ def rollout(
     for ev in results:  # commit in canonical action order for determinism
         budget.merge(ev.budget)
     children = tree.expand(node, [ev.child for ev in results])
-    event.update({"expanded": True, "children": [c.id for c in children]})
+    event: dict = {
+        "rollout": index,
+        "selected": node_id,
+        "expanded": True,
+        "children": [c.id for c in children],
+    }
     retrievals = []
     for ev, child in zip(results, children):
         if ev.record is not None:
@@ -332,8 +347,9 @@ def _build_trace(
     events: list[dict],
     final: dict,
     budget: BudgetReport,
+    exhausted_at: int | None = None,
 ) -> dict:
-    return {
+    trace = {
         "question": question,
         "config": config.to_dict(),
         "nodes": tree.to_trace_nodes(),
@@ -342,11 +358,20 @@ def _build_trace(
         "final": final,
         "budget": asdict(budget),
     }
+    if exhausted_at is not None:
+        trace["exhausted_at"] = exhausted_at
+    return trace
 
 
 def run_search(question: str, config: RunConfig, backends: Backends) -> SearchResult:
-    """Full search: config.rollouts iterations, then reward-weighted voting
-    over answered trajectories."""
+    """Full search: up to config.rollouts iterations, then reward-weighted
+    voting over answered trajectories.
+
+    The search stops early once the tree holds no open leaf: every later
+    rollout could only revisit a terminal leaf, which changes visit counts
+    but no terminal reward, and so not the vote. The trace then records
+    the index of the rollout that did not run as ``exhausted_at``; the key
+    is absent when every rollout ran."""
     if not question.strip():
         raise ValueError("question must be nonempty")
     config.validate()
@@ -363,9 +388,15 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
     pool = None
     if config.parallel_expansion and not in_process:
         pool = ThreadPoolExecutor(max_workers=len(ACTION_ORDER))
+    exhausted_at = None
     try:
         for i in range(config.rollouts):
-            events.append(rollout(tree, config, backends, budget, i, pool, searches))
+            if not tree.open_leaves:
+                exhausted_at = i
+                break
+            event = rollout(tree, config, backends, budget, i, pool, searches)
+            if event["expanded"]:
+                events.append(event)
     except BackendUnreachableError as exc:
         trace = _build_trace(question, config, tree, events, {"error": str(exc)}, budget)
         raise PartialResultError(str(exc), trace) from exc
@@ -381,7 +412,7 @@ def run_search(question: str, config: RunConfig, backends: Backends) -> SearchRe
         scored = []
         answer = NO_ANSWER
     final = {"answer": answer, "scored": [[a, s] for a, s in scored]}
-    trace = _build_trace(question, config, tree, events, final, budget)
+    trace = _build_trace(question, config, tree, events, final, budget, exhausted_at)
     return SearchResult(answer=answer, scored_answers=scored, trace=trace, budget=budget)
 
 
@@ -390,16 +421,20 @@ def validate_trace(trace: dict) -> None:
 
     Nodes: within the depth and sub-question bounds, one deeper than their
     parent, no disabled action, terminal nodes childless, pruned nodes
-    terminal. Rollout events: an expanding event's children are the next
-    node ids, in order, each a child of the event's selected node, and
-    every node but the root comes from one. No node is expanded twice, and
-    an event that does not expand selects a terminal node. Backprops: their
-    leaves are each expanding event's children and each other event's
-    selected node, in event order, and replaying them reproduces every
-    node's ``n`` and ``q`` exactly: the replay repeats the tree's float
-    additions in the same order. So the root's ``n`` is the number of
-    backprops. A trace whose ``final`` holds no error made
-    ``config.rollouts`` rollouts."""
+    terminal. Rollout events: each expands its selected node, events come
+    in rising rollout order, an event's children are the next node ids, in
+    order, each a child of the event's selected node, and every node but
+    the root comes from one. No node is expanded twice. Backprops: each
+    event's children, in event order; every backprop between two events or
+    after the last one is a revisit, of a terminal node some earlier event
+    created, and an event's ``rollout`` index counts the events and
+    revisits before it. Replaying the backprops reproduces every node's
+    ``n`` and ``q`` exactly: the replay repeats the tree's float additions
+    in the same order. So the root's ``n`` is the number of backprops.
+    Rollouts made, events plus revisits, equal ``config.rollouts`` unless
+    ``final`` holds an error or the trace has ``exhausted_at``, which must
+    equal the rollouts made, fall below ``config.rollouts`` and leave no
+    node open (neither terminal nor expanded)."""
     config = RunConfig.from_dict(trace["config"])
     nodes = {n["id"]: n for n in trace["nodes"]}
     has_children = set()
@@ -420,16 +455,34 @@ def validate_trace(trace: dict) -> None:
     for nid in has_children:
         if nodes[nid]["terminal"]:
             raise ValueError(f"terminal node {nid} has children")
-    leaves = []
-    expanded = set()
+    leaves = [leaf for leaf, _ in trace["backprops"]]
+    made = 0  # rollouts made so far: expanding events plus revisits
+    position = 0  # backprops read so far
     next_id = 1
-    for index, event in enumerate(trace["rollouts"]):
-        selected, children = event["selected"], event["children"]
-        if not event["expanded"]:
-            if not nodes[selected]["terminal"]:
-                raise ValueError(f"rollout {index} does not expand open node {selected}")
-            leaves.append(selected)
-            continue
+    expanded = set()
+
+    def revisits(count: int) -> None:
+        nonlocal made, position
+        for leaf in leaves[position : position + count]:
+            if leaf >= next_id:
+                raise ValueError(f"rollout {made} revisits node {leaf} before an event creates it")
+            if not nodes[leaf]["terminal"]:
+                raise ValueError(f"rollout {made} revisits open node {leaf}")
+            made += 1
+        position += count
+
+    indices = [event["rollout"] for event in trace["rollouts"]]
+    for before, after in zip(indices, indices[1:]):
+        if after <= before:
+            raise ValueError(f"rollout event {after} comes after rollout event {before}")
+    for event in trace["rollouts"]:
+        index, selected, children = event["rollout"], event["selected"], event["children"]
+        if not (event["expanded"] and children):
+            raise ValueError(f"rollout event {index} expands nothing")
+        # The rollouts between the previous event and this one revisited.
+        revisits(index - made)
+        if made != index:
+            raise ValueError(f"rollout event {index} follows {made} rollouts")
         if children != list(range(next_id, next_id + len(children))):
             raise ValueError(f"rollout {index}'s children are not the next node ids from {next_id}")
         for cid in children:
@@ -438,18 +491,33 @@ def validate_trace(trace: dict) -> None:
         if selected in expanded:
             raise ValueError(f"rollout {index} expands node {selected} a second time")
         expanded.add(selected)
-        leaves.extend(children)
+        if leaves[position : position + len(children)] != children:
+            raise ValueError(
+                f"backprops {position}.. do not match the children of rollout {index},"
+                f" {children}"
+            )
+        made += 1
+        position += len(children)
         next_id += len(children)
+    revisits(len(leaves) - position)
     if next_id != len(trace["nodes"]):
         raise ValueError(
             f"the rollout events create {next_id - 1} nodes, the trace holds"
             f" {len(trace['nodes']) - 1} besides the root"
         )
-    if [leaf for leaf, _ in trace["backprops"]] != leaves:
-        raise ValueError(
-            f"{len(trace['backprops'])} backprops do not match the {len(leaves)} leaves"
-            " of the rollout events"
-        )
+    if "exhausted_at" in trace:
+        exhausted_at = trace["exhausted_at"]
+        if exhausted_at != made:
+            raise ValueError(f"exhausted_at is {exhausted_at}, but {made} rollouts were made")
+        if exhausted_at >= config.rollouts:
+            raise ValueError(
+                f"exhausted_at {exhausted_at} is not below config.rollouts {config.rollouts}"
+            )
+        still_open = [nid for nid, n in nodes.items() if not n["terminal"] and nid not in expanded]
+        if still_open:
+            raise ValueError(f"exhausted_at is set, but nodes {still_open} are open")
+    elif "error" not in trace["final"] and made != config.rollouts:
+        raise ValueError(f"{made} rollouts recorded, config asks for {config.rollouts}")
     # Every parent link lowers the depth by one, so each walk ends at the root.
     visits = dict.fromkeys(nodes, 0)
     values = dict.fromkeys(nodes, 0.0)
@@ -465,7 +533,3 @@ def validate_trace(trace: dict) -> None:
                 f"node {nid} has n={n['n']}, q={n['q']!r}; replaying the backprops"
                 f" gives n={visits[nid]}, q={values[nid]!r}"
             )
-    if "error" not in trace["final"] and len(trace["rollouts"]) != config.rollouts:
-        raise ValueError(
-            f"{len(trace['rollouts'])} rollouts recorded, config asks for {config.rollouts}"
-        )

@@ -57,6 +57,9 @@ class SearchTree:
         # (leaf_id, reward) per backpropagation, in commit order; paths are
         # immutable so the full increment history is replayable from this log.
         self.backprop_log: list[tuple[int, float]] = []
+        # Nodes neither terminal nor expanded. At 0 no rollout can expand
+        # anything again, so the search is exhausted.
+        self.open_leaves = 1
 
     @property
     def root(self) -> SearchNode:
@@ -111,7 +114,9 @@ class SearchTree:
     def expand(self, node: SearchNode, realized: list[RealizedAction]) -> list[SearchNode]:
         """Append one child per realized action and backpropagate each
         child's raw reward. ``node`` is a childless, non-terminal leaf above
-        ``max_depth`` (``is_terminal``), as ``validate_trace`` checks."""
+        ``max_depth`` (``is_terminal``), as ``validate_trace`` checks. It stops
+        being open, and each non-terminal child is a new open leaf."""
+        self.open_leaves -= 1
         created = []
         for item in realized:
             child = SearchNode(
@@ -128,6 +133,8 @@ class SearchTree:
             )
             self._nodes.append(child)
             node.children.append(child.id)
+            if not item.terminal:
+                self.open_leaves += 1
             self.backpropagate(child.id, item.raw_reward)
             created.append(child)
         return created

@@ -69,6 +69,23 @@ def trace_json(trace: dict) -> str:
     return json.dumps(trace, indent=2, sort_keys=True)
 
 
+def revisits(trace: dict) -> list[tuple[int, int, int]]:
+    """(rollout index, backprop position, leaf) of each rollout that
+    revisited a terminal leaf: every rollout the event log skips."""
+    events = {e["rollout"]: e for e in trace["rollouts"]}
+    found = []
+    position = index = 0
+    while position < len(trace["backprops"]):
+        event = events.get(index)
+        if event is None:
+            found.append((index, position, trace["backprops"][position][0]))
+            position += 1
+        else:
+            position += len(event["children"])
+        index += 1
+    return found
+
+
 class _ChatHandler(BaseHTTPRequestHandler):
     """Answers /chat/completions from the server's scripted backend."""
 

@@ -1,5 +1,14 @@
 """Golden trace digests: the sha256 of every shipped world's dumped trace at
-rollouts 4, 8 and 16, in parallel and sequential mode.
+rollouts 4, 8 and 16, in parallel and sequential mode, each projected onto
+the rollout log that records every rollout.
+
+The engine records only the rollouts that expand a node; a rollout that
+revisits a terminal leaf leaves just its ``backprops`` entry. The digests
+pin the log as it was when every rollout had an event, so before hashing,
+``with_revisit_events`` puts back ``{"children": [], "expanded": false,
+"rollout": i, "selected": leaf}`` at each missing index ``i``, with the
+leaf of that rollout's backprop. The projection only inserts events, so a
+matching digest proves that every other trace byte is unchanged.
 
 A refactor must leave every digest unchanged. A change that alters traces
 on purpose regenerates the file with ``PYTHONPATH=src python
@@ -21,12 +30,27 @@ from ragtree.generation import prompt_key
 from ragtree.orchestrator import Backends, run_search
 from ragtree.worlds import build_world
 
-from conftest import pooled
+from conftest import pooled, revisits
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_trace_digests.json"
 FIXTURES = HERE.parent / "fixtures" / "worlds"
 ROLLOUTS = (4, 8, 16)
+
+
+def with_revisit_events(trace: dict) -> dict:
+    """Put back the revisit event of each rollout the log skips. Asserts
+    first that every recorded event expands and that the search ran every
+    rollout, as any search of at most 16 rollouts of a shipped world does."""
+    assert all(e["expanded"] and e["children"] for e in trace["rollouts"])
+    assert "exhausted_at" not in trace and "error" not in trace["final"]
+    restored = [
+        {"children": [], "expanded": False, "rollout": index, "selected": leaf}
+        for index, _, leaf in revisits(trace)
+    ]
+    trace["rollouts"] = sorted(trace["rollouts"] + restored, key=lambda e: e["rollout"])
+    assert [e["rollout"] for e in trace["rollouts"]] == list(range(trace["config"]["rollouts"]))
+    return trace
 
 
 def trace_digests(out_dir: Path) -> dict[str, str]:
@@ -38,6 +62,7 @@ def trace_digests(out_dir: Path) -> dict[str, str]:
                 config = world.config(rollouts=rollouts, parallel_expansion=parallel)
                 backends = pooled(world.backends())
                 result = run_search(world.question, config, backends)
+                with_revisit_events(result.trace)
                 mode = "parallel" if parallel else "sequential"
                 trace_path = out_dir / f"{world.name}-r{rollouts}-{mode}.json"
                 dump_trace(result, trace_path)
@@ -79,7 +104,9 @@ def test_out_of_order_completion_keeps_the_parallel_digests(tmp_path):
         jittered = Backends(lm=_Jittered(backends.lm), retriever=backends.retriever)
         config = world.config(rollouts=16, parallel_expansion=True)
         trace_path = tmp_path / f"{world.name}.json"
-        dump_trace(run_search(world.question, config, jittered), trace_path)
+        result = run_search(world.question, config, jittered)
+        with_revisit_events(result.trace)
+        dump_trace(result, trace_path)
         key = f"{world.name}/r16/parallel"
         if hashlib.sha256(trace_path.read_bytes()).hexdigest() != golden[key]:
             changed.append(key)

@@ -34,7 +34,8 @@ from ragtree.retrieval import Document, LocalIndex, ScriptedRetriever
 from ragtree.tree import SearchTree
 from ragtree.worlds import RecordingBackend, World
 
-from conftest import FIXTURES, pooled, run_world, trace_json
+from conftest import FIXTURES, pooled, revisits, run_world, trace_json
+from shipped_worlds import shipped_worlds
 
 
 class TestDeriveSeed:
@@ -71,7 +72,7 @@ class TestRunSearch:
         world = worlds["no-retrieval-00"]
         result = run_world(world, rollouts=8)
         trace = result.trace
-        assert len(trace["rollouts"]) == 8
+        assert len(trace["rollouts"]) + len(revisits(trace)) == 8
         assert trace["nodes"][0]["n"] == len(trace["backprops"])
 
     def test_max_depth_never_exceeded(self, worlds):
@@ -167,7 +168,7 @@ class TestExpansionPool:
     ):
         world = worlds["retrieval-gated-00"]
         result = run_world(world, pooled(world.backends()), rollouts=16)
-        expanded = sum(e["expanded"] for e in result.trace["rollouts"])
+        expanded = len(result.trace["rollouts"])
         assert expanded > 1  # several parallel expansions share the pool
         assert 1 < len(started_threads) <= len(ACTION_ORDER)
         assert not any(t.is_alive() for t in started_threads)
@@ -550,12 +551,18 @@ class TestValidateTrace:
 
     @pytest.mark.parametrize("drop", [0, -1])
     def test_rejects_a_dropped_backprop(self, worlds, drop):
+        # The first backprop is a child of the root's expansion, the last a revisit.
         trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+        assert revisits(trace)[-1][1] == len(trace["backprops"]) - 1
 
         def drop_backprop(t):
             del t["backprops"][drop]
 
-        with pytest.raises(ValueError, match="backprops do not match"):
+        match = {
+            0: r"backprops 0\.\. do not match the children of rollout 0",
+            -1: "15 rollouts recorded, config asks for 16",
+        }[drop]
+        with pytest.raises(ValueError, match=match):
             validate_trace(self.corrupt(trace, drop_backprop))
 
     def test_rejects_reordered_children(self, worlds):
@@ -593,13 +600,96 @@ class TestValidateTrace:
 
         def reopen(t):
             nodes = t["nodes"]
-            event = next(
-                e for e in t["rollouts"] if not e["expanded"] and not nodes[e["selected"]]["pruned"]
-            )
-            nodes[event["selected"]]["terminal"] = False
+            leaf = next(leaf for _, _, leaf in revisits(t) if not nodes[leaf]["pruned"])
+            nodes[leaf]["terminal"] = False
 
-        with pytest.raises(ValueError, match=r"rollout \d+ does not expand open node \d+"):
+        with pytest.raises(ValueError, match=r"rollout \d+ revisits open node \d+"):
             validate_trace(self.corrupt(trace, reopen))
+
+    def test_rejects_a_revisit_event_left_in_the_log(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+        (index, _, leaf), *_ = revisits(trace)
+        assert index == 1  # the first revisit, after the root's expansion
+
+        def log_revisit(t):
+            revisit = {"children": [], "expanded": False, "rollout": 1, "selected": leaf}
+            t["rollouts"].insert(1, revisit)
+
+        with pytest.raises(ValueError, match="rollout event 1 expands nothing"):
+            validate_trace(self.corrupt(trace, log_revisit))
+
+    def test_rejects_events_out_of_order(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+
+        def swap(t):
+            t["rollouts"][1], t["rollouts"][2] = t["rollouts"][2], t["rollouts"][1]
+
+        with pytest.raises(ValueError, match="rollout event 2 comes after rollout event 3"):
+            validate_trace(self.corrupt(trace, swap))
+
+    def test_rejects_a_revisit_of_an_open_node(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+        expanded = {e["selected"] for e in trace["rollouts"]}
+        open_leaf = next(
+            n["id"] for n in trace["nodes"] if not n["terminal"] and n["id"] not in expanded
+        )
+        _, position, _ = revisits(trace)[-1]
+
+        def revisit_open_leaf(t):
+            t["backprops"][position][0] = open_leaf
+
+        with pytest.raises(ValueError, match=f"rollout 15 revisits open node {open_leaf}"):
+            validate_trace(self.corrupt(trace, revisit_open_leaf))
+
+    def test_rejects_a_revisit_before_its_node_exists(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+        # Rollout 1 revisits node 1; a later rollout revisits node 4, which
+        # rollout 2 creates. Swapping the two keeps every n and q.
+        later = next(p for _, p, leaf in revisits(trace) if leaf == 4)
+        assert trace["backprops"][3][0] == 1
+
+        def swap(t):
+            t["backprops"][3], t["backprops"][later] = t["backprops"][later], t["backprops"][3]
+
+        with pytest.raises(ValueError, match="rollout 1 revisits node 4 before an event creates it"):
+            validate_trace(self.corrupt(trace, swap))
+
+    def test_rejects_exhausted_at_while_a_leaf_is_open(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
+
+        def claim_exhaustion(t):
+            t["config"]["rollouts"] = 64
+            t["exhausted_at"] = 16
+
+        with pytest.raises(ValueError, match=r"exhausted_at is set, but nodes \[.+\] are open"):
+            validate_trace(self.corrupt(trace, claim_exhaustion))
+
+    def exhausted(self, worlds):
+        trace = run_world(worlds["no-retrieval-00"], rollouts=64, max_depth=1).trace
+        assert trace["exhausted_at"] == 1
+        validate_trace(trace)
+        return trace
+
+    def test_rejects_exhausted_at_other_than_the_rollouts_made(self, worlds):
+        def shift(t):
+            t["exhausted_at"] = 2
+
+        with pytest.raises(ValueError, match="exhausted_at is 2, but 1 rollouts were made"):
+            validate_trace(self.corrupt(self.exhausted(worlds), shift))
+
+    def test_rejects_exhausted_at_not_below_config_rollouts(self, worlds):
+        def ask_for_one(t):
+            t["config"]["rollouts"] = 1
+
+        with pytest.raises(ValueError, match="exhausted_at 1 is not below config.rollouts 1"):
+            validate_trace(self.corrupt(self.exhausted(worlds), ask_for_one))
+
+    def test_rejects_a_short_trace_without_exhausted_at_or_error(self, worlds):
+        def forget_exhaustion(t):
+            del t["exhausted_at"]
+
+        with pytest.raises(ValueError, match="1 rollouts recorded, config asks for 64"):
+            validate_trace(self.corrupt(self.exhausted(worlds), forget_exhaustion))
 
     def test_rejects_a_node_expanded_twice(self, worlds):
         trace = run_world(worlds["no-retrieval-00"], rollouts=16).trace
@@ -653,6 +743,40 @@ class TestValidateTrace:
             validate_trace(truncated)
         truncated["final"] = {"error": "simulated outage"}
         validate_trace(truncated)
+
+
+class TestExhaustion:
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_every_shipped_world_stops_after_the_root_at_depth_one(self, worlds, parallel):
+        for name, world in worlds.items():
+            traces = {}
+            for rollouts in (64, 1):
+                backends = pooled(world.backends())
+                traces[rollouts] = run_world(
+                    world, backends, rollouts=rollouts, max_depth=1, parallel_expansion=parallel
+                ).trace
+                # The pass-through LM keeps the pool in parallel mode only.
+                assert bool(backends.lm.threads - {threading.get_ident()}) is parallel, name
+            trace = traces[64]
+            validate_trace(trace)
+            assert trace.pop("exhausted_at") == 1, name
+            assert len(trace["rollouts"]) == 1, name
+            trace["config"]["rollouts"] = 1
+            assert trace_json(trace) == trace_json(traces[1]), name
+
+    def test_a_recorded_no_retrieval_world_stops_at_rollout_519(self):
+        rule_world = next(w for w in shipped_worlds() if w.name == "no-retrieval-00")
+        config = RunConfig(**rule_world.config_overrides, rollouts=1024)
+        recorder = RecordingBackend(rule_world.rules)
+        backends = Backends(recorder, ScriptedRetriever(rule_world.retriever_script))
+        trace = run_search(rule_world.question, config, backends).trace
+        validate_trace(trace)
+        assert trace.pop("exhausted_at") == 519
+        trace["config"]["rollouts"] = 519
+        replay = Backends(ScriptedBackend(recorder.script), ScriptedRetriever(rule_world.retriever_script))
+        shorter = run_search(rule_world.question, dc_replace(config, rollouts=519), replay).trace
+        assert "exhausted_at" not in shorter
+        assert trace_json(trace) == trace_json(shorter)
 
 
 class _ByTag:

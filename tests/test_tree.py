@@ -193,3 +193,26 @@ class TestExpand:
                 total = sum(tree.node(c).visit_count for c in node.children)
                 expected = total + (1 if node.parent is not None else 0)
                 assert node.visit_count == expected
+
+    def test_counts_open_leaves(self):
+        # Open: neither terminal nor expanded. The root starts open. After
+        # 20 random expansions, terminal-only ones close the tree.
+        rng = random.Random(5)
+        tree = make_tree()
+        assert tree.open_leaves == 1
+        for step in range(1000):
+            open_nodes = [n for n in tree.nodes if not n.terminal and not n.children]
+            assert tree.open_leaves == len(open_nodes)
+            if not open_nodes:
+                break
+            items = [
+                RealizedAction(
+                    action=ActionKind.QUICK_REASONING,
+                    state=ReasoningState(question="q?"),
+                    raw_reward=0.0,
+                    terminal=step >= 20 or rng.random() < 0.3,
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            tree.expand(rng.choice(open_nodes), items)
+        assert step > 20 and tree.open_leaves == 0
