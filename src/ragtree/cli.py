@@ -63,8 +63,16 @@ def load_dataset(path: str | Path) -> list[Example]:
             if not isinstance(row, dict):
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object")
             for field in ("question", "gold_answer"):
-                if not row.get(field):
-                    raise DatasetError(f"{path}:{lineno}: missing or empty '{field}'")
+                value = row.get(field)
+                if not (isinstance(value, str) and value):
+                    raise DatasetError(
+                        f"{path}:{lineno}: '{field}' must be a nonempty string, got {value!r}"
+                    )
+            example_id = row.get("id", lineno)
+            if isinstance(example_id, bool) or not isinstance(example_id, (str, int)):
+                raise DatasetError(
+                    f"{path}:{lineno}: 'id' must be a string or an integer, got {example_id!r}"
+                )
             choices = row.get("choices", [])
             if not isinstance(choices, list) or not all(
                 isinstance(c, list) and len(c) == 2 and all(isinstance(p, str) for p in c)
@@ -73,9 +81,9 @@ def load_dataset(path: str | Path) -> list[Example]:
                 raise DatasetError(f"{path}:{lineno}: 'choices' must be [label, text] string pairs")
             examples.append(
                 Example(
-                    id=str(row.get("id", lineno)),
-                    question=str(row["question"]),
-                    gold_answer=str(row["gold_answer"]),
+                    id=str(example_id),
+                    question=row["question"],
+                    gold_answer=row["gold_answer"],
                     choices=tuple(map(tuple, choices)),
                 )
             )

@@ -10,6 +10,7 @@ import hashlib
 import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -109,11 +110,15 @@ def equivalent(a: str, b: str) -> bool:
 def cluster_answers(answers: list[str]) -> list[list[int]]:
     """Each answer's indices grouped by ``normalize_answer`` key, in input
     order; clusters come in founding order. Equivalence is equality of
-    keys, so this is greedy first-match clustering with each answer
-    normalized once."""
+    keys, so this is greedy first-match clustering. A batch mostly repeats
+    one answer, so each distinct answer is normalized once per call."""
     clusters: dict[str, list[int]] = {}
+    keys: dict[str, str] = {}
     for idx, answer in enumerate(answers):
-        clusters.setdefault(normalize_answer(answer), []).append(idx)
+        key = keys.get(answer)
+        if key is None:
+            key = keys[answer] = normalize_answer(answer)
+        clusters.setdefault(key, []).append(idx)
     return list(clusters.values())
 
 
@@ -143,43 +148,70 @@ def sample_completions(
 class ScriptedBackend:
     """Immutable prompt-key -> scripted outputs map.
 
-    ``script`` maps a 16-hex prompt key to a list of (text, log_likelihood)
-    pairs. Requests for k completions cycle the scripted list. Unknown keys
-    raise, naming the key: scripted tests run closed-world.
+    ``script`` maps a 16-hex prompt key to a nonempty list of
+    (text, log_likelihood) pairs: a string and a finite int or float.
+    Requests for k completions cycle the scripted list. Within one call,
+    each distinct pair is parsed once, and every position that holds it
+    shares that one ``Completion``; nothing is kept between calls. Unknown
+    keys raise, naming the key: scripted tests run closed-world.
     """
 
     def __init__(self, script: dict[str, list[tuple[str, float]]]):
-        frozen: dict[str, tuple[tuple[str, float], ...]] = {}
-        for key, outputs in script.items():
-            if not outputs:
-                raise ValueError(f"script entry {key} has no outputs")
-            pairs = []
-            for output in outputs:
-                if not (isinstance(output, (list, tuple)) and len(output) == 2):
-                    raise ValueError(
-                        f"script entry {key}: expected [text, log_likelihood], got {output!r}"
-                    )
-                log_likelihood = float(output[1])
-                if not math.isfinite(log_likelihood):
-                    raise ValueError(
-                        f"script entry {key}: log-likelihood {log_likelihood} is not finite"
-                    )
-                pairs.append((str(output[0]), log_likelihood))
-            frozen[key] = tuple(pairs)
-        self._script = frozen
+        self._script = {key: self._frozen(key, outputs) for key, outputs in script.items()}
 
-    def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
+    @staticmethod
+    def _frozen(key: str, outputs: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
+        """``outputs`` as a tuple of (str, float) pairs; anything else raises
+        ``ValueError`` naming ``key``."""
+        if not outputs:
+            raise ValueError(f"script entry {key} has no outputs")
+        pairs = []
+        for output in outputs:
+            if not (isinstance(output, (list, tuple)) and len(output) == 2):
+                raise ValueError(
+                    f"script entry {key}: expected [text, log_likelihood], got {output!r}"
+                )
+            text, log_likelihood = output
+            if not isinstance(text, str):
+                raise ValueError(f"script entry {key}: text {text!r} is not a string")
+            if isinstance(log_likelihood, bool) or not isinstance(log_likelihood, (int, float)):
+                raise ValueError(
+                    f"script entry {key}: log-likelihood {log_likelihood!r} is not a number"
+                )
+            # Fails for NaN and infinities, and for an int too large for a float.
+            if not abs(log_likelihood) <= sys.float_info.max:
+                raise ValueError(
+                    f"script entry {key}: log-likelihood {log_likelihood} is not finite"
+                )
+            pairs.append((text, float(log_likelihood)))
+        return tuple(pairs)
+
+    def _outputs(self, prompt: str, tag: str) -> tuple[tuple[str, float], ...]:
         key = prompt_key(prompt)
         try:
-            outputs = self._script[key]
+            return self._script[key]
         except KeyError:
             raise UnknownPromptError(key, prompt, tag) from None
-        chosen = [outputs[i % len(outputs)] for i in range(k)]
-        completions = tuple(
-            Completion(text=t, answer=extract_answer(t), log_likelihood=ll) for t, ll in chosen
-        )
-        tokens = sum(count_tokens(t) for t, _ in chosen)
-        return GenerationOutcome(completions=completions, tokens_consumed=tokens)
+
+    def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
+        outputs = self._outputs(prompt, tag)
+        parsed: dict[tuple, tuple[Completion, int]] = {}
+        completions = []
+        tokens = 0
+        for i in range(k):
+            pair = outputs[i % len(outputs)]
+            text, log_likelihood = pair
+            # 0.0 == -0.0, so a zero log-likelihood is keyed with its sign.
+            key = pair if log_likelihood else (*pair, math.copysign(1.0, log_likelihood))
+            hit = parsed.get(key)
+            if hit is None:
+                completion = Completion(
+                    text=text, answer=extract_answer(text), log_likelihood=log_likelihood
+                )
+                hit = parsed[key] = (completion, count_tokens(text))
+            completions.append(hit[0])
+            tokens += hit[1]
+        return GenerationOutcome(completions=tuple(completions), tokens_consumed=tokens)
 
 
 # Tries per request for both HTTP clients, the LM and web search.

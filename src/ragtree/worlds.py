@@ -19,7 +19,7 @@ from typing import Callable
 
 from .actions import RETRIEVAL_ACTIONS
 from .config import RunConfig
-from .generation import GenerationOutcome, ScriptedBackend, prompt_key
+from .generation import ScriptedBackend, prompt_key
 from .orchestrator import Backends, run_search
 from .retrieval import ScriptedRetriever
 
@@ -120,17 +120,18 @@ class RecordingBackend(ScriptedBackend):
         self._rules = rules
         self.tags: dict[str, str] = {}
 
-    def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
+    def _outputs(self, prompt: str, tag: str) -> tuple[tuple[str, float], ...]:
         key = prompt_key(prompt)
-        if key not in self._script:
-            outputs = self._rules(tag, prompt)
-            if outputs is None:
+        outputs = self._script.get(key)
+        if outputs is None:
+            recorded = self._rules(tag, prompt)
+            if recorded is None:
                 raise WorldError(
                     f"world rules produced no outputs for tag={tag!r}; prompt:\n{prompt}"
                 )
-            self._script[key] = tuple((str(t), float(ll)) for t, ll in outputs)
+            outputs = self._script[key] = self._frozen(key, recorded)
             self.tags[key] = tag
-        return super().sample(prompt, k, seed, tag=tag)
+        return outputs
 
     @property
     def script(self) -> dict[str, list[tuple[str, float]]]:

@@ -296,6 +296,14 @@ class TestMainWorldsMode:
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": [["A", "x", "y"]]}\n', ":1: "),
             ("--dataset", '{"question": "Q?", "gold_answer": "A", "choices": [["A", 1]]}\n', ":1: "),
             ("--dataset", "[1, 2]\n", ":1: "),
+            ("--dataset", '{"id": [1, 2], "question": "Q?", "gold_answer": "A"}\n', ":1: "),
+            ("--dataset", '{"id": true, "question": "Q?", "gold_answer": "A"}\n', ":1: "),
+            ("--dataset", '{"id": null, "question": "Q?", "gold_answer": "A"}\n', ":1: "),
+            ("--dataset", '{"id": 1.5, "question": "Q?", "gold_answer": "A"}\n', ":1: "),
+            ("--dataset", '{"question": 5, "gold_answer": "A"}\n', ":1: "),
+            ("--dataset", '{"question": ["Q?"], "gold_answer": "A"}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": true}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": 42}\n', ":1: "),
             ("--worlds", json.dumps({
                 "name": "w", "question": "Q?", "gold": "a",
                 "lm_script": {"0123456789abcdef": [["t"]]}, "retriever_script": {},
@@ -310,7 +318,9 @@ class TestMainWorldsMode:
         ],
         ids=["dataset-choices-string", "dataset-choices-number", "dataset-choices-strings",
              "dataset-choices-object", "dataset-choices-single", "dataset-choices-triple",
-             "dataset-choices-number-text", "dataset-row-list",
+             "dataset-choices-number-text", "dataset-row-list", "dataset-id-list",
+             "dataset-id-bool", "dataset-id-null", "dataset-id-float", "dataset-question-number",
+             "dataset-question-list", "dataset-gold-bool", "dataset-gold-number",
              "world-lm-entry-short", "world-c-uct-nan", "world-gold-number"],
     )
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):
@@ -550,7 +560,9 @@ class TestMainDatasetMode:
             assert message in err
 
     @pytest.mark.parametrize(
-        "content", ["not json", "[1, 2]", '{"k": 3}', '{"k": [["t", NaN]]}', '{"k": ["ab"]}']
+        "content",
+        ["not json", "[1, 2]", '{"k": 3}', '{"k": [["t", NaN]]}', '{"k": ["ab"]}',
+         '{"k": [[null, "-0.5"]]}', '{"k": [[7, true]]}', '{"k": [["t", true]]}'],
     )
     @pytest.mark.parametrize("flag", ["--lm-scripted", "--retriever-script"])
     def test_malformed_script_exits_2_naming_the_file(self, tmp_path, capsys, flag, content):

@@ -1,4 +1,7 @@
+import collections
+import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -177,6 +180,23 @@ class TestCompletionValidation:
             GenerationOutcome(completions=(), tokens_consumed=0)
 
 
+# Pairs that repeat, one text under several log-likelihoods (signed zeros
+# among them), and texts with and without an answer.
+_SCRIPT_PAIRS = [
+    ("The answer is: A.", -1.0),
+    ("The answer is: A.", -2.0),
+    ("The answer is: A.", 0.0),
+    ("The answer is: A.", -0.0),
+    ("The answer is: a", -1.0),
+    ("Step 1: no answer yet.", -0.5),
+    ("", 0.0),
+]
+
+
+def _signed(pair):
+    return (*pair, math.copysign(1.0, pair[1]))
+
+
 class TestScriptedBackend:
     def backend(self, prompt="hello", outputs=None):
         outputs = outputs or [("The answer is: A.", -1.0), ("The answer is: B.", -2.0)]
@@ -208,6 +228,60 @@ class TestScriptedBackend:
     def test_empty_entry_rejected(self):
         with pytest.raises(ValueError):
             ScriptedBackend({"0" * 16: []})
+
+    @given(
+        st.lists(st.sampled_from(_SCRIPT_PAIRS), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sample_matches_one_completion_per_position(self, outputs, k):
+        out = self.backend(outputs=outputs).sample("hello", k, seed=0)
+        chosen = [outputs[i % len(outputs)] for i in range(k)]
+        want = [Completion(text=t, answer=extract_answer(t), log_likelihood=ll) for t, ll in chosen]
+        # == holds between 0.0 and -0.0, so the sign is compared too.
+        assert [(c.text, c.answer, c.log_likelihood, math.copysign(1.0, c.log_likelihood))
+                for c in out.completions] == [
+            (c.text, c.answer, c.log_likelihood, math.copysign(1.0, c.log_likelihood))
+            for c in want
+        ]
+        assert out.tokens_consumed == sum(count_tokens(t) for t, _ in chosen)
+        for i, j in itertools.combinations(range(k), 2):
+            same = _signed(chosen[i]) == _signed(chosen[j])
+            assert (out.completions[i] is out.completions[j]) is same
+
+    def test_each_distinct_output_is_parsed_once_per_call(self, monkeypatch):
+        parsed = collections.Counter()
+
+        def counting_extract(text):
+            parsed[text] += 1
+            return extract_answer(text)
+
+        monkeypatch.setattr("ragtree.generation.extract_answer", counting_extract)
+        outputs = [("The answer is: A.", -1.0)] * 3 + [("The answer is: B.", -2.0)]
+        backend = self.backend(outputs=outputs)
+        for call in (1, 2):
+            backend.sample("hello", 8, seed=0)
+            assert parsed == {"The answer is: A.": call, "The answer is: B.": call}
+
+    def test_distinct_outputs_stay_distinct_objects(self):
+        outputs = [(f"The answer is: {i}.", -float(i)) for i in range(5)]
+        out = self.backend(outputs=outputs).sample("hello", 5, seed=0)
+        assert len({id(c) for c in out.completions}) == 5
+        assert [c.answer for c in out.completions] == ["0", "1", "2", "3", "4"]
+
+
+def test_cluster_answers_normalizes_each_distinct_answer_once_per_call(monkeypatch):
+    normalized = collections.Counter()
+
+    def counting_normalize(text):
+        normalized[text] += 1
+        return normalize_answer(text)
+
+    monkeypatch.setattr("ragtree.generation.normalize_answer", counting_normalize)
+    answers = ["Paris", "paris", "Paris", "42", "42.0", "Paris", "42"]
+    for call in (1, 2):
+        assert cluster_answers(answers) == [[0, 1, 2, 5], [3, 4, 6]]
+        assert normalized == {"Paris": call, "paris": call, "42": call, "42.0": call}
 
 
 def test_prompt_key_is_stable_16_hex():

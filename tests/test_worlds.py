@@ -58,6 +58,11 @@ class TestFixtureFiles:
             ("lm_script", {"0123456789abcdef": []}),
             ("lm_script", {"0123456789abcdef": [["t", float("nan")]]}),
             ("lm_script", {"0123456789abcdef": ["t1"]}),
+            ("lm_script", {"0123456789abcdef": [[None, "-0.5"]]}),
+            ("lm_script", {"0123456789abcdef": [[7, -0.5]]}),
+            ("lm_script", {"0123456789abcdef": [["t", "-0.5"]]}),
+            ("lm_script", {"0123456789abcdef": [["t", True]]}),
+            ("lm_script", {"0123456789abcdef": [["t", 10**400]]}),
             ("retriever_script", {"query": [["doc-1"]]}),
             ("retriever_script", {"query": ["ab"]}),
             ("config_overrides", {"rollouts": 0}),
@@ -69,7 +74,8 @@ class TestFixtureFiles:
             ("gold", ""),
         ],
         ids=["lm-entry-short", "lm-loglik-text", "lm-list", "lm-entry-empty", "lm-loglik-nan",
-             "lm-entry-string", "retriever-entry-short", "retriever-entry-string",
+             "lm-entry-string", "lm-text-null", "lm-text-number", "lm-loglik-numeric-string",
+             "lm-loglik-bool", "lm-loglik-huge-int", "retriever-entry-short", "retriever-entry-string",
              "config-invalid", "config-unknown", "name-number", "question-number",
              "gold-number", "question-empty", "gold-empty"],
     )
