@@ -1,7 +1,7 @@
 """Run configuration and budget accounting."""
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 from .actions import ActionKind
@@ -9,6 +9,18 @@ from .actions import ActionKind
 
 class ConfigError(ValueError):
     pass
+
+
+# The types each scalar field accepts. bool is an int subclass, so it is
+# refused wherever it is not asked for: True is not rollouts=1.
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("rollouts", "max_depth", "max_subquestions", "k_completions", "top_k_docs", "seed"), (int,)
+    ),
+    "c_uct": (int, float),
+    "tau_prune": (int, float),
+    "parallel_expansion": (bool,),
+}
 
 
 @dataclass(frozen=True)
@@ -25,6 +37,11 @@ class RunConfig:
     parallel_expansion: bool = True
 
     def validate(self) -> "RunConfig":
+        for name, allowed in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, allowed) or (isinstance(value, bool) and allowed != (bool,)):
+                expected = " or ".join(t.__name__ for t in allowed)
+                raise ConfigError(f"{name} must be {expected}, got {type(value).__name__}")
         if self.rollouts < 1:
             raise ConfigError("rollouts must be >= 1")
         if self.max_depth < 1:
@@ -33,7 +50,9 @@ class RunConfig:
             raise ConfigError("max_subquestions must be >= 0")
         if self.k_completions < 1:
             raise ConfigError("k_completions must be >= 1")
-        if not (math.isfinite(self.c_uct) and self.c_uct >= 0):
+        # Compared, never converted to float: an int above the largest
+        # float cannot be converted. NaN fails both comparisons.
+        if not 0 <= self.c_uct <= sys.float_info.max:
             raise ConfigError("c_uct must be finite and >= 0")
         if self.top_k_docs < 1:
             raise ConfigError("top_k_docs must be >= 1")

@@ -67,6 +67,15 @@ class TestFixtureFiles:
             ("retriever_script", {"query": ["ab"]}),
             ("config_overrides", {"rollouts": 0}),
             ("config_overrides", {"no_such_setting": 1}),
+            ("config_overrides", {"rollouts": True}),
+            ("config_overrides", {"rollouts": 2.5}),
+            ("config_overrides", {"k_completions": 2.0}),
+            ("config_overrides", {"max_depth": 2.5}),
+            ("config_overrides", {"seed": "x"}),
+            ("config_overrides", {"parallel_expansion": "no"}),
+            ("config_overrides", {"c_uct": True}),
+            ("config_overrides", {"tau_prune": "0.5"}),
+            ("config_overrides", {"c_uct": 10**400}),
             ("name", 5),
             ("question", 7),
             ("gold", 42),
@@ -76,7 +85,9 @@ class TestFixtureFiles:
         ids=["lm-entry-short", "lm-loglik-text", "lm-list", "lm-entry-empty", "lm-loglik-nan",
              "lm-entry-string", "lm-text-null", "lm-text-number", "lm-loglik-numeric-string",
              "lm-loglik-bool", "lm-loglik-huge-int", "retriever-entry-short", "retriever-entry-string",
-             "config-invalid", "config-unknown", "name-number", "question-number",
+             "config-invalid", "config-unknown", "config-rollouts-bool", "config-rollouts-float",
+             "config-k-float", "config-depth-float", "config-seed-string", "config-parallel-string",
+             "config-c-uct-bool", "config-tau-string", "config-c-uct-huge-int", "name-number", "question-number",
              "gold-number", "question-empty", "gold-empty"],
     )
     def test_build_world_names_malformed_field(self, tmp_path, field, value):
