@@ -64,9 +64,11 @@ def load_dataset(path: str | Path) -> list[Example]:
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object")
             for field in ("question", "gold_answer"):
                 value = row.get(field)
-                if not (isinstance(value, str) and value):
+                # A blank gold normalizes to "", which "The" or "a" would match.
+                if not (isinstance(value, str) and value.strip()):
                     raise DatasetError(
-                        f"{path}:{lineno}: '{field}' must be a nonempty string, got {value!r}"
+                        f"{path}:{lineno}: '{field}' must be a string with a non-blank"
+                        f" character, got {value!r}"
                     )
             example_id = row.get("id", lineno)
             if isinstance(example_id, bool) or not isinstance(example_id, (str, int)):

@@ -13,7 +13,8 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
@@ -89,15 +90,26 @@ class LocalIndex:
     order, so ranking by (-score, number) breaks ties by doc_id. A term's
     first search turns its array into a posting, every containing
     document's contribution tf * ln(1 + N/df), documents with the same tf
-    sharing one float; later searches reuse it. A search adds up the
-    contributions of the documents that share a query term.
+    sharing one float, and its largest contribution; later searches reuse
+    both.
+
+    A search takes the query's terms rarest first. Each taken term's
+    documents become candidates, and each candidate is scored once over all
+    query terms. A document that is no candidate holds only untaken terms,
+    so its score is at most the sum of their largest contributions. Once
+    that bound is strictly below the k-th candidate score, the search stops:
+    no other document can enter the top k or tie with its last member, so
+    the result is the exact ranking of a full merge (MaxScore, Turtle and
+    Flood 1995). A query of common words only takes every term in, and
+    scores every document that holds one.
 
     Concurrent searches are safe: each step is one atomic dict operation,
-    and an installed posting never changes. ``setdefault`` gives every
-    search that built a term's posting the one installed first, and the
-    term's array is dropped only after that install, so a search that finds
-    no array looks for the posting again before treating the term as
-    absent."""
+    and an installed posting never changes. A term's maximum is stored
+    before its posting, so a search that finds the posting finds the
+    maximum. ``setdefault`` gives every search that built a term's posting
+    the one installed first, and the term's array is dropped only after
+    that install, so a search that finds no array looks for the posting
+    again before treating the term as absent."""
 
     def __init__(self, documents: list[tuple[str, str]]):
         # sorted() is stable: documents of one doc_id keep their input order.
@@ -107,29 +119,35 @@ class LocalIndex:
             for term in tokenize(text):
                 occurrences[term].append(number)
         self._occurrences = dict(occurrences)
-        # Every posting keys a document by this one int object. Merging
-        # postings then matches keys by identity, not by comparing values.
+        # Every posting keys a document by this one int object. Looking a
+        # candidate up in another term's posting then matches keys by
+        # identity, not by comparing values.
         self._numbers = list(range(len(self._docs)))
         self._postings: dict[str, dict[int, float]] = {}
+        self._maxima: dict[str, float] = {}
 
-    def _posting(self, term: str) -> dict[int, float] | None:
-        """The term's {document number: contribution}, built on first use;
-        None if no document holds the term."""
+    def _posting(self, term: str) -> tuple[dict[int, float], float] | None:
+        """The term's {document number: contribution}, built on first use,
+        and its largest contribution; None if no document holds the term."""
         posting = self._postings.get(term)
         if posting is not None:
-            return posting
+            return posting, self._maxima[term]
         occurrences = self._occurrences.get(term)
         if occurrences is None:
             # A concurrent search may have installed the posting and dropped
             # the array since the lookup above.
-            return self._postings.get(term)
+            posting = self._postings.get(term)
+            return None if posting is None else (posting, self._maxima[term])
         tf = Counter(occurrences)
         weight = math.log(1.0 + len(self._docs) / len(tf))
         share = {count: count * weight for count in set(tf.values())}
         built = dict(zip(map(self._numbers.__getitem__, tf), map(share.__getitem__, tf.values())))
+        # Stored before the posting, so a search that finds the posting
+        # finds its maximum. Every search that builds it stores the same float.
+        maximum = self._maxima[term] = share[max(share)]
         posting = self._postings.setdefault(term, built)
         self._occurrences.pop(term, None)
-        return posting
+        return posting, maximum
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndex":
@@ -167,26 +185,43 @@ class LocalIndex:
     def search(self, query: str, top_k: int) -> list[Document]:
         if top_k < 1:
             raise RetrievalError("top_k must be >= 1")
-        # Each score accumulates from 0.0 term by term in query order, repeats
-        # included. Float addition is commutative but not associative, so
-        # merging the smaller of the running scores and the posting into a
-        # copy of the larger keeps every score to the last bit. A posting is
-        # only ever copied, never written.
-        acc: dict[int, float] = {}
-        for term in tokenize(query):
-            posting = self._posting(term)
-            if posting is None:
-                continue
-            if len(posting) > len(acc):
-                acc, posting = dict(posting), acc
-            for number, score in posting.items():
-                acc[number] = acc.get(number, 0.0) + score
-        if len(acc) > top_k:
-            kth = heapq.nlargest(top_k, acc.values())[-1]
-            hits = [number for number, score in acc.items() if score >= kth]
-        else:
-            hits = list(acc)
-        hits.sort(key=lambda number: (-acc[number], number))
+        terms = tokenize(query)
+        postings: dict[str, dict[int, float]] = {}
+        maxima: dict[str, float] = {}
+        for term in dict.fromkeys(terms):
+            entry = self._posting(term)
+            if entry is not None:
+                postings[term], maxima[term] = entry
+        # The postings a score adds up, in query order, repeats included.
+        row = [postings[term] for term in terms if term in postings]
+        # A candidate's score adds its contributions from 0.0 in query order,
+        # the additions a merge of every posting makes. Float addition is
+        # monotone, so a document that holds only untaken terms scores at
+        # most ``bound``; strictly below the k-th score, it can neither
+        # enter the top k nor tie into it.
+        order = sorted(postings, key=lambda term: len(postings[term]))
+        scores: dict[int, float] = {}
+        kth = 0.0
+        for taken, term in enumerate(order, start=1):
+            new = postings[term].keys() - scores.keys()
+            # 0.0 + x is x, so the first posting's lookups start each sum.
+            totals = map(row[0].get, new, repeat(0.0))
+            for posting in row[1:]:
+                totals = map(add, totals, map(posting.get, new, repeat(0.0)))
+            scores.update(zip(new, totals))
+            rest = order[taken:]
+            bound = 0.0
+            for other in terms:
+                if other in rest:
+                    bound += maxima[other]
+            if len(scores) >= top_k:
+                kth = heapq.nlargest(top_k, scores.values())[-1]
+                if bound < kth:
+                    break
+        # Every score is positive, so with fewer than top_k candidates all
+        # of them are hits.
+        hits = [number for number, score in scores.items() if score >= kth]
+        hits.sort(key=lambda number: (-scores[number], number))
         docs = self._docs
         return [Document(doc_id=docs[n][0], text=docs[n][1]) for n in hits[:top_k]]
 

@@ -53,6 +53,22 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="gold_answer"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ({"question": "   ", "gold_answer": "Paris"}, "question"),
+            ({"question": "", "gold_answer": "Paris"}, "question"),
+            ({"question": "Q?", "gold_answer": "  "}, "gold_answer"),
+            ({"question": "Q?", "gold_answer": "\t\n"}, "gold_answer"),
+            ({"question": "Q?", "gold_answer": 7}, "gold_answer"),
+        ],
+        ids=["blank-question", "empty-question", "blank-gold", "whitespace-gold", "int-gold"],
+    )
+    def test_blank_or_non_string_field_names_line(self, tmp_path, row, field):
+        path = self.write(tmp_path, ['{"question": "Q?", "gold_answer": "a"}', json.dumps(row)])
+        with pytest.raises(DatasetError, match=rf":2: '{field}' must be a string with a non-blank"):
+            load_dataset(path)
+
     def test_empty_dataset_rejected(self, tmp_path):
         path = self.write(tmp_path, [""])
         with pytest.raises(DatasetError, match="empty"):
@@ -465,6 +481,25 @@ class TestMainDatasetMode:
         captured = capsys.readouterr()
         assert captured.err == f"error: {corpus}: corpus is empty\n"
         assert "accuracy=" not in captured.out
+        assert not list(tmp_path.rglob("*.trace.json"))
+
+    @pytest.mark.parametrize("field", ["question", "gold_answer"])
+    def test_blank_dataset_field_exits_2_before_running(self, tmp_path, worlds, capsys, field):
+        # A blank gold would grade "The" or "a" correct; a blank question
+        # would fail every search.
+        world = worlds["no-retrieval-00"]
+        row = {"id": "w0", "question": world.question, "gold_answer": world.gold}
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps(row) + "\n" + json.dumps({**row, "id": "w1", field: " \t "}) + "\n",
+            encoding="utf-8",
+        )
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(world.lm_script), encoding="utf-8")
+        argv = ["--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                "--lm-scripted", str(script_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {dataset}:2: '{field}' must be")
         assert not list(tmp_path.rglob("*.trace.json"))
 
     def test_bad_corpus_line_exits_2_with_line_number(self, tmp_path, capsys):

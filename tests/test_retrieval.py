@@ -110,6 +110,69 @@ class TestLocalIndexMatchesScan:
             assert index.search(query, top_k) == scan_search(documents, query, top_k)
 
 
+_RARE = ["ant", "bee", "cow"]
+
+
+@st.composite
+def _skewed_corpora(draw):
+    """20-150 documents. "common" is in all but at most three, 1-6 times
+    each; a few placements of rare words; ids are drawn from about half as
+    many names, so they repeat."""
+    n = draw(st.integers(20, 150))
+    tfs = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    without = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    words = [[] if i in without else ["common"] * tf for i, tf in enumerate(tfs)]
+    placements = st.tuples(st.integers(0, n - 1), st.sampled_from(_RARE), st.integers(1, 3))
+    for i, word, tf in draw(st.lists(placements, max_size=8)):
+        words[i] += [word] * tf
+    ids = draw(st.lists(st.integers(0, n // 2), min_size=n, max_size=n))
+    return [(f"d{j:03d}", " ".join(w)) for j, w in zip(ids, words)]
+
+
+def _commons(n, tf=1):
+    return [(f"c{i:02d}", " ".join(["common"] * tf)) for i in range(n)]
+
+
+class TestLocalIndexSkewedCorpora:
+    # With N = 20 and "common" in every document, a "common" occurrence
+    # contributes ln 2 = 0.69 a tf and a once-seen rare word ln 21 = 3.04.
+    @given(
+        documents=_skewed_corpora(),
+        query=st.lists(st.sampled_from(["common", *_RARE, "zebra"]), min_size=1, max_size=4)
+        .map(" ".join),
+    )
+    # The bound certifies: at top_k 1 the "ant" document's 3 ln 21 + ln 2
+    # is above the largest "common" contribution, ln 2.
+    @example(documents=_commons(19) + [("a", "ant ant ant common")], query="ant common")
+    # A document holding only "common" (6 ln 2 = 4.16) beats the "ant"
+    # candidate (ln 21 + ln 2 = 3.74), so the search must take "common" in.
+    @example(documents=_commons(18) + [("z", "common " * 6), ("a", "ant common")], query="ant common")
+    # Only common terms: every document is a candidate.
+    @example(documents=_commons(15) + _commons(5, tf=4), query="common")
+    # The repeated "common" doubles the bound to 8.32; counted once, its
+    # 4.16 would wrongly certify the "ant" candidate's 3.04 + 2 ln 2 = 4.43.
+    @example(
+        documents=_commons(18) + [("z", "common " * 6), ("a", "ant common")],
+        query="common ant common",
+    )
+    # Two candidates once "bee" is taken. Both score above the bound, yet
+    # at top_k 3 the search must take "common" in.
+    @example(documents=_commons(18) + [("b", "bee common"), ("b", "bee bee")], query="bee common")
+    # "ant" and "bee" weigh the same. At top_k 2 the bound, "bee"'s one
+    # weight, equals the k-th candidate score, so it does not certify:
+    # "a", holding only "bee", ties "b" and wins on doc_id.
+    @example(
+        documents=_commons(16) + [("a", "bee"), ("b", "ant"), ("c", "ant ant"), ("d", "bee")],
+        query="ant bee",
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_top_k_matches_the_scan(self, documents, query):
+        index = LocalIndex(documents)
+        scan = scan_search(documents, query, len(documents))
+        for top_k in range(1, len(scan) + 2):
+            assert index.search(query, top_k) == scan[:top_k]
+
+
 def _common_term_corpus(n_docs=2000, seed=20):
     """Seeded corpus in which "common" is in every document; the other
     words follow a skewed distribution, so scores tie often. Ids repeat, so
@@ -125,16 +188,27 @@ def _common_term_corpus(n_docs=2000, seed=20):
     return documents
 
 
-# "common" first merges small postings into a copy of its own; "common"
-# last or repeated copies it and merges the running scores into the copy.
+# "common" anywhere, repeated, or alongside a term rare enough that the
+# bound certifies without reading the "common" posting ("w59 common" at
+# top_k 25), and queries without it.
 _COMMON_QUERIES = [
     "common w5 w40",
     "w5 w40 common",
     "common w5 common",
     "w40 common w40 common",
+    "w59 common",
     "w7 w59",
     "w3 zebra",
 ]
+
+
+class _LookupsOnly(dict):
+    """A posting that answers ``get`` but fails when anything iterates it."""
+
+    def _iterated(self, *args):
+        raise AssertionError("posting iterated")
+
+    __iter__ = keys = values = items = _iterated
 
 
 class TestLocalIndexCommonTerm:
@@ -164,13 +238,27 @@ class TestLocalIndexCommonTerm:
         for query in rng.choices(_COMMON_QUERIES, k=40) + _COMMON_QUERIES:
             assert index.search(query, 25) == fresh[query] == scans[query][:25]
 
+    def test_certified_bound_reads_the_common_posting_by_lookups_only(self, corpus):
+        # Every "w59" document outscores the largest "common" contribution,
+        # 3 ln 2, so at top_k 25 the search stops before it takes "common"
+        # in: it may look candidates up in that posting but never list it.
+        documents, _, scans = corpus
+        index = LocalIndex(documents)
+        index.search("common", 1)
+        index._postings["common"] = _LookupsOnly(index._postings["common"])
+        with pytest.raises(AssertionError, match="posting iterated"):
+            index.search("common", 1)
+        assert index.search("w59 common", 25) == scans["w59 common"][:25]
+
     def test_concurrent_first_searches_match_the_scan(self, corpus):
         # More threads than cores, switching often, on a fresh index each
         # round. Every thread searches the queries in the round's order, so
         # all of them race on the first search of each term. A search that
         # found a term's array gone before its posting was installed, or
         # that did not look for the posting again, would treat the term as
-        # absent.
+        # absent; one that found a posting before its maximum was stored
+        # would fail. "w59 common" reads the maximum of "common" without
+        # walking its posting.
         documents, _, scans = corpus
         index = [None]
         rounds = 16 * len(_COMMON_QUERIES)
