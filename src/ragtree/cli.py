@@ -12,7 +12,7 @@ from typing import Callable, TypeVar
 
 from .actions import ActionKind
 from .config import BudgetReport, ConfigError, RunConfig
-from .generation import Backend, HttpBackend, ScriptedBackend, equivalent
+from .generation import Backend, HttpBackend, ScriptedBackend, normalize_answer
 from .orchestrator import NO_ANSWER, Backends, SearchResult, run_search
 from .retrieval import (
     LocalIndex,
@@ -20,6 +20,7 @@ from .retrieval import (
     Retriever,
     ScriptedRetriever,
     WebSearchRetriever,
+    tokenize,
 )
 from .worlds import WorldError, build_world
 
@@ -64,7 +65,6 @@ def load_dataset(path: str | Path) -> list[Example]:
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object")
             for field in ("question", "gold_answer"):
                 value = row.get(field)
-                # A blank gold normalizes to "", which "The" or "a" would match.
                 if not (isinstance(value, str) and value.strip()):
                     raise DatasetError(
                         f"{path}:{lineno}: '{field}' must be a string with a non-blank"
@@ -81,11 +81,17 @@ def load_dataset(path: str | Path) -> list[Example]:
                 for c in choices
             ):
                 raise DatasetError(f"{path}:{lineno}: 'choices' must be [label, text] string pairs")
+            gold = row["gold_answer"]
+            if not (_label(gold) if choices else normalize_answer(gold)):
+                raise DatasetError(
+                    f"{path}:{lineno}: 'gold_answer' {gold!r} normalizes to \"\", which no"
+                    " prediction matches"
+                )
             examples.append(
                 Example(
                     id=str(example_id),
                     question=row["question"],
-                    gold_answer=row["gold_answer"],
+                    gold_answer=gold,
                     choices=tuple(map(tuple, choices)),
                 )
             )
@@ -94,20 +100,29 @@ def load_dataset(path: str | Path) -> list[Example]:
     return examples
 
 
+def _label(text: str) -> str:
+    """A choice label's form: lowercase words of letters and digits, with
+    articles kept, so "(a)" and "a." name label "A" and "an" does not."""
+    return " ".join(tokenize(text))
+
+
 def grade(prediction: str, example: Example) -> bool:
-    """Multiple-choice: match the gold label or its choice text; free-form:
-    normalized equivalence against the gold answer."""
+    """Multiple-choice: the prediction names the gold label, or matches the
+    text of the choice it labels; free-form: it matches the gold answer.
+    Labels compare by ``_label``, answers and texts by ``normalize_answer``,
+    and a form that normalizes to "" matches nothing."""
     if prediction == NO_ANSWER:
         return False
+    gold = example.gold_answer
     if example.choices:
-        gold_label = example.gold_answer
-        gold_text = next(
-            (text for label, text in example.choices if equivalent(label, gold_label)), None
-        )
-        if equivalent(prediction, gold_label):
+        label = _label(gold)
+        if not label:
+            return False
+        if _label(prediction) == label:
             return True
-        return gold_text is not None and equivalent(prediction, gold_text)
-    return equivalent(prediction, example.gold_answer)
+        gold = next((text for key, text in example.choices if _label(key) == label), "")
+    answer = normalize_answer(gold)
+    return answer != "" and normalize_answer(prediction) == answer
 
 
 def dump_trace(result: SearchResult, path: str | Path) -> None:

@@ -216,6 +216,9 @@ class ScriptedBackend:
 
 # Tries per request for both HTTP clients, the LM and web search.
 HTTP_ATTEMPTS = 3
+# The environment variable whose value, when set, ``HttpBackend`` sends as
+# its bearer token.
+LM_API_KEY = "LM_API_KEY"
 
 
 class HttpBackend:
@@ -229,14 +232,12 @@ class HttpBackend:
         self,
         base_url: str,
         model: str,
-        api_key_env: str = "LM_API_KEY",
         session: requests.Session | None = None,
     ):
         import requests
 
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key_env = api_key_env
         self._session = session or requests.Session()
 
     def sample(self, prompt: str, k: int, seed: int, tag: str = "") -> GenerationOutcome:
@@ -250,7 +251,7 @@ class HttpBackend:
             "seed": seed,
         }
         headers = {}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(LM_API_KEY)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_error: Exception | None = None

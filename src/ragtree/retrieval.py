@@ -74,6 +74,9 @@ class Retriever(Protocol):
 
 
 _TOKEN = re.compile(r"[0-9a-z]+")
+# The environment variable whose value, when set, ``WebSearchRetriever``
+# sends as its bearer token.
+SEARCH_API_KEY = "SEARCH_API_KEY"
 
 
 def tokenize(text: str) -> list[str]:
@@ -87,11 +90,12 @@ class LocalIndex:
     Building it is one pass over the corpus that appends each token's
     document number to its term's ``array("I")``, 4 bytes an occurrence;
     repeats encode tf. Documents are numbered in (doc_id, input position)
-    order, so ranking by (-score, number) breaks ties by doc_id. A term's
-    first search turns its array into a posting, every containing
-    document's contribution tf * ln(1 + N/df), documents with the same tf
-    sharing one float, and its largest contribution; later searches reuse
-    both.
+    order, so ranking by (-score, number) breaks ties by doc_id. Each term
+    has one entry in one table: its array until its first search, which
+    replaces the array by the term's posting, every containing document's
+    contribution tf * ln(1 + N/df), documents with the same tf sharing one
+    float, paired with its largest contribution. Later searches reuse that
+    pair, which never changes.
 
     A search takes the query's terms rarest first. Each taken term's
     documents become candidates, and each candidate is scored once over all
@@ -103,13 +107,9 @@ class LocalIndex:
     Flood 1995). A query of common words only takes every term in, and
     scores every document that holds one.
 
-    Concurrent searches are safe: each step is one atomic dict operation,
-    and an installed posting never changes. A term's maximum is stored
-    before its posting, so a search that finds the posting finds the
-    maximum. ``setdefault`` gives every search that built a term's posting
-    the one installed first, and the term's array is dropped only after
-    that install, so a search that finds no array looks for the posting
-    again before treating the term as absent."""
+    Concurrent searches are safe: a term's entry is read once and replaced
+    at most once, each one atomic dict operation. Searches that build one
+    term at once store equal pairs, so either may stay."""
 
     def __init__(self, documents: list[tuple[str, str]]):
         # sorted() is stable: documents of one doc_id keep their input order.
@@ -118,36 +118,24 @@ class LocalIndex:
         for number, (_, text) in enumerate(self._docs):
             for term in tokenize(text):
                 occurrences[term].append(number)
-        self._occurrences = dict(occurrences)
+        self._terms: dict[str, array[int] | tuple[dict[int, float], float]] = dict(occurrences)
         # Every posting keys a document by this one int object. Looking a
         # candidate up in another term's posting then matches keys by
         # identity, not by comparing values.
         self._numbers = list(range(len(self._docs)))
-        self._postings: dict[str, dict[int, float]] = {}
-        self._maxima: dict[str, float] = {}
 
     def _posting(self, term: str) -> tuple[dict[int, float], float] | None:
         """The term's {document number: contribution}, built on first use,
         and its largest contribution; None if no document holds the term."""
-        posting = self._postings.get(term)
-        if posting is not None:
-            return posting, self._maxima[term]
-        occurrences = self._occurrences.get(term)
-        if occurrences is None:
-            # A concurrent search may have installed the posting and dropped
-            # the array since the lookup above.
-            posting = self._postings.get(term)
-            return None if posting is None else (posting, self._maxima[term])
-        tf = Counter(occurrences)
+        entry = self._terms.get(term)
+        if not isinstance(entry, array):
+            return entry
+        tf = Counter(entry)
         weight = math.log(1.0 + len(self._docs) / len(tf))
         share = {count: count * weight for count in set(tf.values())}
         built = dict(zip(map(self._numbers.__getitem__, tf), map(share.__getitem__, tf.values())))
-        # Stored before the posting, so a search that finds the posting
-        # finds its maximum. Every search that builds it stores the same float.
-        maximum = self._maxima[term] = share[max(share)]
-        posting = self._postings.setdefault(term, built)
-        self._occurrences.pop(term, None)
-        return posting, maximum
+        entry = self._terms[term] = (built, share[max(share)])
+        return entry
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndex":
@@ -258,16 +246,10 @@ class WebSearchRetriever:
     ``LocalIndex.from_jsonl`` rejects such lines; the first ``top_k`` rows
     kept are returned."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key_env: str = "SEARCH_API_KEY",
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, endpoint: str, session: requests.Session | None = None):
         import requests
 
         self.endpoint = endpoint
-        self.api_key_env = api_key_env
         self._session = session or requests.Session()
 
     def search(self, query: str, top_k: int) -> list[Document]:
@@ -275,7 +257,7 @@ class WebSearchRetriever:
 
         params = {"query": query, "count": top_k}
         headers = {}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(SEARCH_API_KEY)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         for attempt in range(HTTP_ATTEMPTS):

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .actions import RETRIEVAL_ACTIONS
 from .config import RunConfig
-from .generation import ScriptedBackend, prompt_key
+from .generation import ScriptedBackend, normalize_answer, prompt_key
 from .orchestrator import Backends, run_search
 from .retrieval import ScriptedRetriever
 
@@ -72,6 +72,10 @@ def build_world(path: str | Path) -> World:
     for key in ("question", "gold"):
         if not (isinstance(data[key], str) and data[key].strip()):
             raise WorldError(f"{path}: malformed '{key}': expected a nonempty string")
+    if not normalize_answer(data["gold"]):
+        raise WorldError(
+            f"{path}: malformed 'gold': {data['gold']!r} normalizes to \"\", which no answer matches"
+        )
     world = World(
         name=data["name"],
         question=data["question"],

@@ -34,7 +34,7 @@ class TestLoadDataset:
         path = self.write(
             tmp_path,
             [
-                '{"id": "e1", "question": "Q1?", "gold_answer": "a"}',
+                '{"id": "e1", "question": "Q1?", "gold_answer": "x"}',
                 "",
                 '{"question": "Q2?", "gold_answer": "b", "choices": [["A", "apple"], ["B", "berry"]]}',
             ],
@@ -44,7 +44,7 @@ class TestLoadDataset:
         assert examples[1].choices == (("A", "apple"), ("B", "berry"))
 
     def test_bad_json_names_line(self, tmp_path):
-        path = self.write(tmp_path, ['{"question": "Q?", "gold_answer": "a"}', "oops"])
+        path = self.write(tmp_path, ['{"question": "Q?", "gold_answer": "x"}', "oops"])
         with pytest.raises(DatasetError, match=r":2:"):
             load_dataset(path)
 
@@ -65,9 +65,29 @@ class TestLoadDataset:
         ids=["blank-question", "empty-question", "blank-gold", "whitespace-gold", "int-gold"],
     )
     def test_blank_or_non_string_field_names_line(self, tmp_path, row, field):
-        path = self.write(tmp_path, ['{"question": "Q?", "gold_answer": "a"}', json.dumps(row)])
+        path = self.write(tmp_path, ['{"question": "Q?", "gold_answer": "x"}', json.dumps(row)])
         with pytest.raises(DatasetError, match=rf":2: '{field}' must be a string with a non-blank"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"question": "Q?", "gold_answer": "The"},
+            {"question": "Q?", "gold_answer": "a"},
+            {"question": "Q?", "gold_answer": "An."},
+            {"question": "Q?", "gold_answer": "(?)", "choices": [["A", "apple"], ["?", "berry"]]},
+        ],
+        ids=["gold-the", "gold-a", "gold-an-dot", "choice-gold-punctuation"],
+    )
+    def test_gold_that_normalizes_to_empty_names_line(self, tmp_path, row):
+        path = self.write(tmp_path, ['{"question": "Q?", "gold_answer": "x"}', json.dumps(row)])
+        with pytest.raises(DatasetError, match=r":2: 'gold_answer' .* normalizes to \"\""):
+            load_dataset(path)
+
+    def test_article_label_is_a_valid_choice_gold(self, tmp_path):
+        row = {"question": "Q?", "gold_answer": "A", "choices": [["A", "apple"], ["B", "berry"]]}
+        path = self.write(tmp_path, [json.dumps(row)])
+        assert load_dataset(path)[0].gold_answer == "A"
 
     def test_empty_dataset_rejected(self, tmp_path):
         path = self.write(tmp_path, [""])
@@ -96,6 +116,31 @@ class TestGrade:
         assert grade("berry", example)
         assert not grade("apple", example)
         assert not grade("A", example)
+
+    def test_labels_compare_as_labels(self):
+        # Case and punctuation are ignored but articles kept, so label "A"
+        # is named by "(a)" and not by "The" or "an", which normalize to "".
+        choices = (("A", "apple"), ("B", "berry"))
+        gold_a = Example(id="1", question="q", gold_answer="A", choices=choices)
+        for named in ("A", "(A)", "a.", " a "):
+            assert grade(named, gold_a), named
+        for other in ("The", "an", "the", "", "B", "berry"):
+            assert not grade(other, gold_a), other
+        gold_b = Example(id="1", question="q", gold_answer="B", choices=choices)
+        assert grade("(B)", gold_b)
+        assert grade("the berry", gold_b)
+        assert not grade("The", gold_b)
+
+    def test_a_form_that_normalizes_to_empty_matches_nothing(self):
+        assert not grade("a", Example(id="1", question="q", gold_answer="The"))
+        assert not grade("", Example(id="1", question="q", gold_answer="The"))
+        unlabelled = Example(id="1", question="q", gold_answer="?", choices=(("?", "x"),))
+        assert not grade("?", unlabelled)
+        assert not grade("x", unlabelled)
+        # A gold label with no choice of its own is named only by its label.
+        missing = Example(id="1", question="q", gold_answer="C", choices=(("A", "The"),))
+        assert grade("(c)", missing)
+        assert not grade("an", missing)
 
 
 class TestRunBenchmark:
@@ -320,24 +365,29 @@ class TestMainWorldsMode:
             ("--dataset", '{"question": ["Q?"], "gold_answer": "A"}\n', ":1: "),
             ("--dataset", '{"question": "Q?", "gold_answer": true}\n', ":1: "),
             ("--dataset", '{"question": "Q?", "gold_answer": 42}\n', ":1: "),
+            ("--dataset", '{"question": "Q?", "gold_answer": "The"}\n', ":1: 'gold_answer' "),
             ("--worlds", json.dumps({
-                "name": "w", "question": "Q?", "gold": "a",
+                "name": "w", "question": "Q?", "gold": "x",
                 "lm_script": {"0123456789abcdef": [["t"]]}, "retriever_script": {},
             }), ": malformed 'lm_script': "),
             ("--worlds", json.dumps({
-                "name": "w", "question": "Q?", "gold": "a", "lm_script": {},
+                "name": "w", "question": "Q?", "gold": "x", "lm_script": {},
                 "retriever_script": {}, "config_overrides": {"c_uct": float("nan")},
             }), ": malformed 'config_overrides': c_uct must be finite"),
             ("--worlds", json.dumps({
                 "name": "w", "question": "Q?", "gold": 42, "lm_script": {}, "retriever_script": {},
             }), ": malformed 'gold': "),
+            ("--worlds", json.dumps({
+                "name": "w", "question": "Q?", "gold": "the", "lm_script": {}, "retriever_script": {},
+            }), ": malformed 'gold': 'the' normalizes to"),
         ],
         ids=["dataset-choices-string", "dataset-choices-number", "dataset-choices-strings",
              "dataset-choices-object", "dataset-choices-single", "dataset-choices-triple",
              "dataset-choices-number-text", "dataset-row-list", "dataset-id-list",
              "dataset-id-bool", "dataset-id-null", "dataset-id-float", "dataset-question-number",
              "dataset-question-list", "dataset-gold-bool", "dataset-gold-number",
-             "world-lm-entry-short", "world-c-uct-nan", "world-gold-number"],
+             "dataset-gold-article", "world-lm-entry-short", "world-c-uct-nan",
+             "world-gold-number", "world-gold-article"],
     )
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys, flag, content, where):
         inputs = tmp_path / "inputs"
@@ -421,7 +471,7 @@ class TestMainDatasetMode:
     )
     def test_malformed_corpus_row_exits_2_naming_the_line(self, tmp_path, capsys, line, message):
         dataset = tmp_path / "data.jsonl"
-        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "x"}\n', encoding="utf-8")
         script_path = tmp_path / "script.json"
         script_path.write_text("{}", encoding="utf-8")
         corpus = tmp_path / "corpus.jsonl"
@@ -485,8 +535,8 @@ class TestMainDatasetMode:
 
     @pytest.mark.parametrize("field", ["question", "gold_answer"])
     def test_blank_dataset_field_exits_2_before_running(self, tmp_path, worlds, capsys, field):
-        # A blank gold would grade "The" or "a" correct; a blank question
-        # would fail every search.
+        # A blank gold matches no prediction; a blank question would fail
+        # every search.
         world = worlds["no-retrieval-00"]
         row = {"id": "w0", "question": world.question, "gold_answer": world.gold}
         dataset = tmp_path / "data.jsonl"
@@ -504,7 +554,7 @@ class TestMainDatasetMode:
 
     def test_bad_corpus_line_exits_2_with_line_number(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
-        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "x"}\n', encoding="utf-8")
         script_path = tmp_path / "script.json"
         script_path.write_text("{}", encoding="utf-8")
         corpus = tmp_path / "corpus.jsonl"
@@ -546,7 +596,7 @@ class TestMainDatasetMode:
     def test_crashing_examples_exit_3_and_are_counted(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text(
-            '{"id": "e1", "question": "q1", "gold_answer": "a"}\n'
+            '{"id": "e1", "question": "q1", "gold_answer": "x"}\n'
             '{"id": "e2", "question": "q2", "gold_answer": "b"}\n',
             encoding="utf-8",
         )
@@ -579,7 +629,7 @@ class TestMainDatasetMode:
     )
     def test_missing_backend_inputs_exit_2(self, tmp_path, capsys, flags, messages):
         dataset = tmp_path / "data.jsonl"
-        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "x"}\n', encoding="utf-8")
         script_path = tmp_path / "script.json"
         script_path.write_text("{}", encoding="utf-8")
         flags = [f.format(script=script_path) for f in flags]
@@ -602,7 +652,7 @@ class TestMainDatasetMode:
     @pytest.mark.parametrize("flag", ["--lm-scripted", "--retriever-script"])
     def test_malformed_script_exits_2_naming_the_file(self, tmp_path, capsys, flag, content):
         dataset = tmp_path / "data.jsonl"
-        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "a"}\n', encoding="utf-8")
+        dataset.write_text('{"id": "e1", "question": "q", "gold_answer": "x"}\n', encoding="utf-8")
         good = tmp_path / "good.json"
         good.write_text("{}", encoding="utf-8")
         bad = tmp_path / "bad.json"

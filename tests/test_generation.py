@@ -312,7 +312,7 @@ class _StubSession:
         self.calls = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json})
+        self.calls.append({"url": url, "json": json, "headers": headers})
         return self._responses.pop(0)
 
 
@@ -349,6 +349,17 @@ class TestHttpBackend:
         assert out.tokens_consumed == 12
         sent = session.calls[0]["json"]
         assert sent["n"] == 2 and sent["seed"] == 3
+
+    @pytest.mark.parametrize("key, want", [("sk-lm", {"Authorization": "Bearer sk-lm"}), (None, {})],
+                             ids=["key-set", "key-unset"])
+    def test_bearer_header_only_when_lm_api_key_is_set(self, monkeypatch, key, want):
+        if key is None:
+            monkeypatch.delenv("LM_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("LM_API_KEY", key)
+        session = _StubSession([_StubResponse(self.payload())])
+        HttpBackend("http://lm.test/v1", model="m", session=session).sample("q", 2, seed=0)
+        assert session.calls[0]["headers"] == want
 
     def test_retries_then_fails(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)

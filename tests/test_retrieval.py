@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import mpmath
 import pytest
@@ -245,19 +246,38 @@ class TestLocalIndexCommonTerm:
         documents, _, scans = corpus
         index = LocalIndex(documents)
         index.search("common", 1)
-        index._postings["common"] = _LookupsOnly(index._postings["common"])
+        posting, maximum = index._terms["common"]
+        index._terms["common"] = (_LookupsOnly(posting), maximum)
         with pytest.raises(AssertionError, match="posting iterated"):
             index.search("common", 1)
         assert index.search("w59 common", 25) == scans["w59 common"][:25]
+
+    def test_search_replaces_each_present_terms_array_by_its_pair(self, corpus):
+        # A searched term keeps only its (posting, maximum) pair, so no
+        # occurrence array outlives its first search. Unsearched terms keep
+        # their arrays, and an absent term gains no entry.
+        documents, _, _ = corpus
+        index = LocalIndex(documents)
+        before = dict(index._terms)
+        query = "w40 common zebra w40"
+        assert index.search(query, 25) == scan_search(documents, query, 25)
+        assert index._terms.keys() == before.keys()
+        for term, entry in index._terms.items():
+            if term in ("w40", "common"):
+                assert isinstance(entry, tuple)
+                posting, maximum = entry
+                assert posting and maximum == max(posting.values())
+            else:
+                assert isinstance(entry, array) and entry is before[term]
 
     def test_concurrent_first_searches_match_the_scan(self, corpus):
         # More threads than cores, switching often, on a fresh index each
         # round. Every thread searches the queries in the round's order, so
         # all of them race on the first search of each term. A search that
-        # found a term's array gone before its posting was installed, or
-        # that did not look for the posting again, would treat the term as
-        # absent; one that found a posting before its maximum was stored
-        # would fail. "w59 common" reads the maximum of "common" without
+        # read a term's entry twice could find the array the first time and
+        # the pair the second, and build from the pair or take the term for
+        # absent; builds that stored unequal pairs would make the threads
+        # disagree. "w59 common" reads the maximum of "common" without
         # walking its posting.
         documents, _, scans = corpus
         index = [None]
@@ -461,9 +481,11 @@ class _StubSession:
     def __init__(self, responses):
         self._responses = list(responses)
         self.calls = 0
+        self.headers = []
 
     def get(self, url, params=None, headers=None, timeout=None):
         self.calls += 1
+        self.headers.append(headers)
         return self._responses.pop(0)
 
 
@@ -474,6 +496,17 @@ class TestWebSearchRetriever:
         retriever = WebSearchRetriever("http://search.test", session=session)
         got = retriever.search("q", top_k=3)
         assert got == [Document(doc_id="w1", text="fact")]
+
+    @pytest.mark.parametrize("key, want", [("sk-search", {"Authorization": "Bearer sk-search"}), (None, {})],
+                             ids=["key-set", "key-unset"])
+    def test_bearer_header_only_when_search_api_key_is_set(self, monkeypatch, key, want):
+        if key is None:
+            monkeypatch.delenv("SEARCH_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("SEARCH_API_KEY", key)
+        session = _StubSession([_StubResponse({"results": []})])
+        WebSearchRetriever("http://search.test", session=session).search("q", top_k=3)
+        assert session.headers == [want]
 
     @pytest.mark.parametrize(
         "row",

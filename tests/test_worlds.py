@@ -81,6 +81,8 @@ class TestFixtureFiles:
             ("gold", 42),
             ("question", ""),
             ("gold", ""),
+            ("gold", "The"),
+            ("gold", "an ."),
         ],
         ids=["lm-entry-short", "lm-loglik-text", "lm-list", "lm-entry-empty", "lm-loglik-nan",
              "lm-entry-string", "lm-text-null", "lm-text-number", "lm-loglik-numeric-string",
@@ -88,10 +90,10 @@ class TestFixtureFiles:
              "config-invalid", "config-unknown", "config-rollouts-bool", "config-rollouts-float",
              "config-k-float", "config-depth-float", "config-seed-string", "config-parallel-string",
              "config-c-uct-bool", "config-tau-string", "config-c-uct-huge-int", "name-number", "question-number",
-             "gold-number", "question-empty", "gold-empty"],
+             "gold-number", "question-empty", "gold-empty", "gold-article", "gold-articles-only"],
     )
     def test_build_world_names_malformed_field(self, tmp_path, field, value):
-        data = {"name": "w", "question": "Q?", "gold": "a", "lm_script": {},
+        data = {"name": "w", "question": "Q?", "gold": "x", "lm_script": {},
                 "retriever_script": {}, field: value}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data), encoding="utf-8")
